@@ -1,12 +1,12 @@
-"""Benchmark: lock-step batched execution vs the scalar replication loop.
+"""Benchmark: lock-step batches vs one replication per batch.
 
-The batched executor (:mod:`repro.san.batched`) earns its keep on exactly
-the workload the scalar hot-path overhaul already optimized: many
+The batched executor (:mod:`repro.san.batched`) earns its keep on many
 replications of the n = 3 consensus SAN.  This benchmark times
-``solve(strategy="batched")`` against the scalar ``solve()`` on the same
-seeds and asserts the required >= 2x speedup -- after checking that the
-two produce *bit-identical* per-replication rewards (the batched
-draw-order contract), so the speed never comes from statistical drift.
+``solve()`` with auto-sized batches against ``solve(batch_size=1)`` on
+the same seeds and asserts the required >= 2x lock-step gain -- after
+checking that the two produce *bit-identical* per-replication rewards
+(the batched draw-order contract), so the speed never comes from
+statistical drift.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.stats.distributions import BimodalUniform, Mixture, Shifted, Uniform
 #: Replications per timing leg.  Large enough that the batched executor's
 #: per-batch compilation and matrix set-up amortise (they do by ~50).
 REPLICATIONS = 200
-#: Required speedup of the batched strategy over the scalar loop.
+#: Required speedup of auto-sized batches over one-row batches.
 REQUIRED_SPEEDUP = 2.0
 #: Required speedup of batched (pre-drawn) bimodal delays over the same
 #: delays forced onto the per-completion generic fallback.
@@ -43,22 +43,22 @@ def _best_of(function, attempts=3):
 
 def test_bench_batched_consensus(benchmark):
     experiment = ConsensusSANExperiment(n_processes=3, seed=1)
-    scalar_solver = experiment.solver()
+    single_solver = experiment.solver()
     batched_solver = experiment.solver()
 
     # Warm both paths off the clock: model build, compiled tables, caches.
-    scalar_solver.run_replication(0)
+    single_solver.run_replication(0)
     batched_solver.run_batch([0])
 
     def solve_batched():
-        return batched_solver.solve(replications=REPLICATIONS, strategy="batched")
+        return batched_solver.solve(replications=REPLICATIONS)
 
-    def solve_scalar():
-        return scalar_solver.solve(replications=REPLICATIONS)
+    def solve_single():
+        return single_solver.solve(replications=REPLICATIONS, batch_size=1)
 
     fast_result, fast_s = _best_of(solve_batched)
     run_once(benchmark, solve_batched, replications=REPLICATIONS)
-    slow_result, slow_s = _best_of(solve_scalar)
+    slow_result, slow_s = _best_of(solve_single)
 
     # Determinism first: equal statistical precision means *identical*
     # per-replication results here, by the batched draw-order contract.
@@ -69,11 +69,11 @@ def test_bench_batched_consensus(benchmark):
     speedup = slow_s / fast_s if fast_s > 0 else float("inf")
     print(
         f"\nconsensus n=3, {REPLICATIONS} replications: batched {fast_s:.3f} s "
-        f"({REPLICATIONS / fast_s:.0f} reps/s), scalar {slow_s:.3f} s "
+        f"({REPLICATIONS / fast_s:.0f} reps/s), batch size 1 {slow_s:.3f} s "
         f"({REPLICATIONS / slow_s:.0f} reps/s), speedup {speedup:.2f}x"
     )
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"expected >= {REQUIRED_SPEEDUP}x over the scalar executor, "
+        f"expected >= {REQUIRED_SPEEDUP}x over one-row batches, "
         f"measured {speedup:.2f}x"
     )
 
@@ -101,7 +101,7 @@ def _drain_model_factory(generic: bool):
     if generic:
         # Statistically identical to BimodalUniform(), but the Shifted
         # component is not a plain Uniform, so supports_batch() is False
-        # and every draw goes through the per-completion scalar path.
+        # and every draw goes through the per-completion generic path.
         delay = Mixture(
             [(0.8, Uniform(0.1, 0.13)), (0.2, Shifted(0.0, Uniform(0.145, 0.35)))]
         )
@@ -147,10 +147,10 @@ def test_bench_batched_bimodal_delays(benchmark):
     generic_solver.run_batch([0])
 
     def solve_batchable():
-        return batchable_solver.solve(replications=REPLICATIONS, strategy="batched")
+        return batchable_solver.solve(replications=REPLICATIONS)
 
     def solve_generic():
-        return generic_solver.solve(replications=REPLICATIONS, strategy="batched")
+        return generic_solver.solve(replications=REPLICATIONS)
 
     fast_result, fast_s = _best_of(solve_batchable)
     run_once(benchmark, solve_batchable, replications=REPLICATIONS)

@@ -4,13 +4,14 @@ The analytic CTMC solver (:mod:`repro.san.analytic`) and the simulative
 solver (:mod:`repro.san.solver`) must agree wherever both apply: on models
 whose timed activities are all exponential.  This sweep solves each model
 of a small validation suite **three ways** -- analytically, simulatively
-with the scalar executor, and simulatively with the lock-step batched
-executor (``strategy="batched"``) -- and reports, per reward variable,
-the exact analytic value, each simulative mean with its 95% confidence
-interval, whether the exact value falls inside the intervals, and the
-wall-clock speedups.  The scalar and batched legs share replication
-seeds, so their means are bit-identical; a divergence here is an
-executor-fidelity bug, not statistical noise.
+one replication per lock-step batch (``batch_size=1``, the "simulative"
+leg), and simulatively with auto-sized batches (the "batched" leg) --
+and reports, per reward variable, the exact analytic value, each
+simulative mean with its 95% confidence interval, whether the exact value
+falls inside the intervals, and the wall-clock speedups; the batched
+speedup is the lock-step gain over one-row batches.  The two simulative
+legs share replication seeds, so their means are bit-identical; a
+divergence here is an executor-fidelity bug, not statistical noise.
 
 The suite covers the three layers of the paper's model stack
 (:mod:`repro.sanmodels.exponential`):
@@ -175,8 +176,9 @@ def compare_model_spec(key: str) -> CompareModelSpec:
 class RewardComparison:
     """Analytic-vs-simulative agreement for one reward variable.
 
-    ``batched_mean``/``batched_within_ci`` report the lock-step batched
-    executor's leg; ``batched_mean`` must equal ``simulative_mean``
+    ``batched_mean``/``batched_within_ci`` report the auto-sized batch
+    leg; ``batched_mean`` must equal ``simulative_mean`` (the one-row
+    batch leg)
     bit-for-bit (shared replication seeds), so a mismatch flags an
     executor-fidelity bug.
     """
@@ -213,7 +215,7 @@ class SolverComparePoint:
 
     @property
     def batched_speedup(self) -> float:
-        """Scalar simulative wall-clock divided by batched wall-clock."""
+        """One-row-batch wall-clock divided by auto-sized-batch wall-clock."""
         if self.batched_seconds <= 0:
             return float("inf")
         return self.simulative_seconds / self.batched_seconds
@@ -283,7 +285,7 @@ def _solver_compare_point(
         # produce stateless models safe to share across replications.
         reuse_model=True,
     )
-    simulative_result = simulative.solve(replications=replications)
+    simulative_result = simulative.solve(replications=replications, batch_size=1)
     simulative_seconds = time.perf_counter() - started  # repro: ignore[DET004] measures solver wall-clock, the quantity this experiment reports; not simulation state
 
     started = time.perf_counter()  # repro: ignore[DET004] measures solver wall-clock, the quantity this experiment reports; not simulation state
@@ -296,7 +298,7 @@ def _solver_compare_point(
         confidence=COMPARISON_CONFIDENCE,
         reuse_model=True,
     )
-    batched_result = batched.solve(replications=replications, strategy="batched")
+    batched_result = batched.solve(replications=replications)
     batched_seconds = time.perf_counter() - started  # repro: ignore[DET004] measures solver wall-clock, the quantity this experiment reports; not simulation state
 
     point = SolverComparePoint(
@@ -373,7 +375,7 @@ def format_solver_compare(result: SolverCompareResult) -> str:
     ``[... regenerated in X s]`` line the CLI already prints.
     """
     lines = [
-        "Solver comparison: analytic (exact CTMC) vs simulative (scalar + batched)",
+        "Solver comparison: analytic (exact CTMC) vs simulative (batch size 1 + batched)",
         "model           reward            analytic   simulative (95% CI)      in CI"
         "   batched     in CI   states",
     ]
@@ -407,7 +409,7 @@ def format_solver_compare(result: SolverCompareResult) -> str:
             f"simulative {point.simulative_seconds:.2f} s "
             f"({point.replications} replications) -- {point.speedup:.0f}x; "
             f"batched {point.batched_seconds:.2f} s -- "
-            f"{point.batched_speedup:.1f}x over scalar]"
+            f"{point.batched_speedup:.1f}x over batch size 1]"
         )
     return "\n".join(lines)
 

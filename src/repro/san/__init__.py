@@ -20,11 +20,13 @@ This package is the repository's stand-in for UltraSAN / Möbius, the
 * A **simulative solver** running independent replications until a target
   confidence-interval precision is reached (:mod:`repro.san.solver`)
   -- the paper had to use simulative solvers because of its
-  non-exponential distributions (§5).  Replications run one at a time
-  through the scalar executor (:mod:`repro.san.executor`) or lock-step
-  in batches through a compiled form of the model
-  (:mod:`repro.san.compiled`, :mod:`repro.san.batched`) with
-  bit-identical results (``solve(..., strategy="batched")``).
+  non-exponential distributions (§5).  Replications run lock-step in
+  batches through a compiled form of the model
+  (:mod:`repro.san.compiled`, :mod:`repro.san.batched`); a single
+  replication is a batch of one.  Every replication is bit-identical to
+  a run of :class:`~repro.san.executor.SANExecutor`, a deliberately
+  simple full-re-evaluation executor kept as the test oracle (it is not
+  exported here).
 * An **analytic solver** for the exponential corner of the model space:
   reachability-graph state-space generation
   (:mod:`repro.san.statespace`) and exact CTMC solution -- steady state,
@@ -45,10 +47,9 @@ and gates are applied.
 
 from repro.san.activities import Activity, Case, InstantaneousActivity, TimedActivity
 from repro.san.analytic import AnalyticResult, AnalyticSolver, AnalyticSolverError
-from repro.san.batched import BatchedSANExecutor
+from repro.san.batched import BatchedSANExecutor, SANExecutionError
 from repro.san.compiled import CompiledSANModel, RowMarking, compile_model
 from repro.san.composition import join, rename_model, replicate
-from repro.san.executor import SANExecutionError, SANExecutor
 from repro.san.gates import InputGate, OutputGate
 from repro.san.marking import FrozenMarking, Marking
 from repro.san.model import SANModel, SANValidationError
@@ -92,7 +93,6 @@ __all__ = [
     "RewardVariable",
     "RowMarking",
     "SANExecutionError",
-    "SANExecutor",
     "SANModel",
     "SANValidationError",
     "SimulativeSolver",

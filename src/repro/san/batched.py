@@ -18,36 +18,41 @@ round checks every candidate's input arcs for every chaining row with a
 single ``np.logical_and.reduceat`` over the compiled flat-arc tables.
 Only the parts the matrix cannot express stay per row -- gate
 predicates, case selection and the completion effects themselves -- and
-those are evaluated in exactly the scalar executor's order, only for
-candidates the vectorised arc check has already passed.
+those are evaluated in the oracle's rank order, only for candidates the
+vectorised arc check has already passed.
+
+This is the only executor :class:`~repro.san.solver.SimulativeSolver`
+runs; a single replication is a batch of one.
 
 Determinism contract (the *batched draw-order contract*)
 --------------------------------------------------------
-Every row is **bit-identical to the scalar executor** run with the same
-seed, at any batch size:
+Every row is **bit-identical to the** :class:`~repro.san.executor.SANExecutor`
+**oracle** run with the same seed, at any batch size:
 
 * row ``r`` draws from its own ``RandomStreams(seed_r)`` with the same
   named streams (``san.duration.<activity>`` / ``san.case.<activity>``)
-  the scalar executor derives from ``Simulator(seed_r)``, and batching
-  never interleaves draws across rows within a stream;
-* within a row, activities are walked in the scalar executor's exact
-  order (declaration order at start-up; conservative gates first, then
-  name-sorted changed places after each completion), so the per-row
-  sequence numbers -- which break same-instant completion ties exactly
-  like the scalar calendar's -- are assigned identically;
-* duration draws use the same pre-drawn per-stream batches
-  (:class:`~repro.san.executor._BatchedDurationSampler`), which numpy
-  guarantees bit-identical to repeated scalar draws.
+  the oracle derives from ``Simulator(seed_r)``, and batching never
+  interleaves draws across rows within a stream;
+* within a row, timed activities are walked in the oracle's order
+  (declaration order at start-up; activities with unwatched gates first,
+  then the readers of the name-sorted changed places, then the completed
+  activity after each completion), so the per-row sequence numbers --
+  which break same-instant completion ties exactly like the oracle's
+  DES calendar -- are assigned identically;
+* fixed vectorisable durations come from pre-drawn per-stream batches
+  (:class:`~repro.san.compiled._BatchedDurationSampler`), which numpy
+  guarantees bit-identical to one draw per call.
 
-Consequently ``B=1`` reproduces the scalar golden traces float-for-float,
-and a ``B>1`` batch produces exactly the per-replication results the
-scalar replication loop would, merely faster.
+Consequently ``B=1`` reproduces the golden traces float-for-float, and a
+``B>1`` batch produces exactly the per-replication results the oracle
+would, merely faster.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -60,20 +65,35 @@ from repro.san.compiled import (
     CompiledSANModel,
     DurationSampler,
     RowMarking,
-    compile_model,
-)
-from repro.san.executor import (
-    MAX_INSTANTANEOUS_CHAIN,
-    ExecutionResult,
-    MarkingPredicate,
-    SANExecutionError,
     _BatchedDurationSampler,
+    compile_model,
 )
 from repro.san.marking import Marking
 from repro.san.model import SANModel
 from repro.san.rewards import RewardVariable
 
 _INF = math.inf
+
+MarkingPredicate = Callable[[Marking], bool]
+
+#: Safety bound on consecutive instantaneous firings without time advancing,
+#: to catch accidentally-unstable (vanishing-marking) loops in models.
+MAX_INSTANTANEOUS_CHAIN = 1_000_000
+
+
+class SANExecutionError(RuntimeError):
+    """Raised when a model misbehaves during execution."""
+
+
+@dataclass
+class ExecutionResult:
+    """Outcome of one replication."""
+
+    end_time: float
+    stopped_by_predicate: bool
+    dead_marking: bool
+    completions: int
+    final_marking: Marking
 
 
 class _Row:
@@ -107,7 +127,7 @@ class _Row:
         n_timed: int,
     ) -> None:
         self.index = index
-        #: Python-list token store (fast scalar reads for gates, rewards
+        #: Python-list token store (fast element reads for gates, rewards
         #: and completion effects) ...
         self.tokens = tokens
         #: ... and its view of this row in the executor's token matrix:
@@ -121,8 +141,8 @@ class _Row:
         #: override them (the base-class hooks are no-ops, so skipping
         #: them is behaviour-identical; distinct rewards are independent
         #: observers of a marking that does not change between hooks, so
-        #: splitting the scalar executor's per-reward interleaving into
-        #: two lists is too).
+        #: splitting the oracle's per-reward interleaving into two lists
+        #: is too).
         self.completion_hooks = [
             reward.on_activity_completion
             for reward in rewards
@@ -135,13 +155,12 @@ class _Row:
             if type(reward).on_marking_change
             is not RewardVariable.on_marking_change
         ]
-        #: Lazily-built duration samplers, indexed by timed-activity index
-        #: (the scalar executor memoises per name; the index is the name).
+        #: Lazily-built duration samplers, indexed by timed-activity index.
         self.samplers: List[Optional[DurationSampler]] = [None] * n_timed
         self.case_rngs: Dict[str, np.random.Generator] = {}
-        #: Mirrors the scalar calendar's sequence counter: bumped once per
+        #: Mirrors the DES calendar's sequence counter: bumped once per
         #: schedule, never on cancellation, so same-instant completions
-        #: tie-break exactly like the scalar heap's ``(time, seq)`` order.
+        #: tie-break exactly like the oracle's ``(time, seq)`` heap order.
         self.next_seq = 0
         self.now = 0.0
         self.completions = 0
@@ -153,11 +172,11 @@ class BatchedSANExecutor:
 
     Two construction forms:
 
-    * **Scalar-compatible** (drop-in for :class:`~repro.san.executor.
-      SANExecutor`, used by golden-trace tests and ``executor_class``
-      hooks): ``BatchedSANExecutor(model, sim, rewards, initial_marking)``
-      runs a single row drawing from ``sim.random``; :meth:`run` returns
-      one :class:`ExecutionResult`.
+    * **Single-row** (the :class:`~repro.san.executor.SANExecutor`
+      oracle's signature, used by the golden-trace tests):
+      ``BatchedSANExecutor(model, sim, rewards, initial_marking)`` runs
+      one row drawing from ``sim.random``; :meth:`run` returns one
+      :class:`ExecutionResult`.
     * **Batched** (:meth:`for_batch`): one row per replication seed, each
       with its own reward variables; :meth:`run_batch` returns the results
       in row order.
@@ -180,7 +199,7 @@ class BatchedSANExecutor:
         if streams is None:
             if sim is None:
                 raise TypeError(
-                    "BatchedSANExecutor needs a Simulator (scalar-compatible "
+                    "BatchedSANExecutor needs a Simulator (single-row "
                     "form) or explicit per-row streams (for_batch)"
                 )
             streams = [sim.random]
@@ -195,9 +214,12 @@ class BatchedSANExecutor:
                 "streams, rewards_per_row and initial_markings must have "
                 "one entry per row"
             )
-        n_timed = self._compiled.n_timed
-        self._comp = np.full((len(streams), n_timed), _INF, dtype=np.float64)
-        self._seqs = np.zeros((len(streams), n_timed), dtype=np.int64)
+        # At least one column, so the per-round min/argmin is defined on
+        # models without timed activities (the spare column stays at
+        # infinity: such rows drain after start-up).
+        n_columns = max(1, self._compiled.n_timed)
+        self._comp = np.full((len(streams), n_columns), _INF, dtype=np.float64)
+        self._seqs = np.zeros((len(streams), n_columns), dtype=np.int64)
         #: The persistent ``B x places`` token matrix, kept in lock-step
         #: with the per-row token lists (every write mirrors into it), so
         #: vectorised passes (arc masks, the matrix chain) read current
@@ -226,7 +248,7 @@ class BatchedSANExecutor:
                     marking,
                     row_streams,
                     list(row_rewards),
-                    n_timed,
+                    self._compiled.n_timed,
                 )
             )
         self._stop_predicate: Optional[MarkingPredicate] = None
@@ -257,12 +279,12 @@ class BatchedSANExecutor:
 
     @property
     def completions(self) -> int:
-        """Completions of row 0 (scalar-compatible introspection)."""
+        """Completions of row 0 (single-row introspection)."""
         return self._rows[0].completions
 
     @property
     def marking(self) -> Marking:
-        """Marking view of row 0 (scalar-compatible introspection)."""
+        """Marking view of row 0 (single-row introspection)."""
         return self._rows[0].marking
 
     def tokens_matrix(self) -> np.ndarray:
@@ -312,7 +334,7 @@ class BatchedSANExecutor:
         until: Optional[float] = None,
         stop_predicate: Optional[MarkingPredicate] = None,
     ) -> ExecutionResult:
-        """Run a single-row batch (scalar-compatible form only)."""
+        """Run a single-row batch (single-row form only)."""
         if len(self._rows) != 1:
             raise SANExecutionError(
                 f"run() is the single-replication interface; this executor "
@@ -327,7 +349,7 @@ class BatchedSANExecutor:
     ) -> List[ExecutionResult]:
         """Run every row to termination; results in row order.
 
-        Each row terminates exactly like a scalar replication: stop
+        Each row terminates exactly like an oracle replication: stop
         predicate, dead (drained) marking, or time horizon.
         """
         self._stop_predicate = stop_predicate
@@ -337,8 +359,7 @@ class BatchedSANExecutor:
         # Start-up, mirroring SANExecutor.run: clear the journal, reset
         # rewards, check the stop predicate on the initial marking, then
         # stabilise instantaneous activities -- one matrix chain over
-        # every surviving row at once, all candidates considered (the
-        # scalar executor's "candidates=None" start-up chain).
+        # every surviving row at once, all candidates considered.
         active: List[_Row] = []
         for row in self._rows:
             row.marking.take_changes()
@@ -364,7 +385,7 @@ class BatchedSANExecutor:
 
         # Initial activation: one vectorised arc mask over all still-active
         # rows, then per-row gate checks and scheduling in declaration
-        # order (the scalar executor's seq-assignment order).
+        # order (the oracle's seq-assignment order).
         if active:
             row_ids = [row.index for row in active]
             arc_mask = compiled.arc_enabled_mask(
@@ -402,7 +423,7 @@ class BatchedSANExecutor:
             for position, row in enumerate(active):
                 time = times[position]
                 if time == _INF:
-                    # Calendar drained: dead marking (the scalar simulator
+                    # Calendar drained: dead marking (the DES calendar
                     # still advances the clock to the horizon, if any).
                     end = row.now if until is None else max(row.now, until)
                     results[row.index] = self._finish(row, end)
@@ -412,8 +433,8 @@ class BatchedSANExecutor:
                     continue
                 column = columns[position]
                 if tie_counts[position] > 1:
-                    # Same-instant completions: the scalar heap pops the
-                    # lowest sequence number first.
+                    # Same-instant completions: the calendar heap pops
+                    # the lowest sequence number first.
                     comp_row = comp[row.index]
                     tied = np.flatnonzero(comp_row == time)
                     column = int(tied[np.argmin(seqs[row.index][tied])])
@@ -540,7 +561,7 @@ class BatchedSANExecutor:
         # SAN completion order: input arcs, input gate functions, output
         # arcs of the chosen case, output gate functions.  Arc weights are
         # >= 1, so every arc write changes its place's count -- the case's
-        # precompiled ``change_idx`` matches the scalar marking's
+        # precompiled ``change_idx`` matches a plain marking's
         # value-diff journal for the arc writes; gate writes journal
         # through the marking and are merged below.
         for place, weight in activity.input_arcs:
@@ -606,20 +627,19 @@ class BatchedSANExecutor:
         per arc segment, packed into one arc bitmask per row -- then walks
         each row's arc-enabled candidates from the lowest set bit upward,
         evaluating gate predicates per row until the first fully-enabled
-        candidate fires.  That is exactly the scalar chain's walk order
-        and gate-call sequence: the marking is constant during a round's
-        walk, so checking arcs up front observes the same state the
-        scalar's interleaved walk does.
+        candidate fires.  That fires exactly what the oracle's full
+        rank-ordered scan fires: the marking is constant during a round's
+        walk, so checking arcs up front observes the same state an
+        interleaved walk does.
 
-        Like the per-row chain this replaces, a candidate *verified*
-        disabled (by arcs or a gate) is dropped from its row's mask: it
-        can only become enabled again through a marking change, and every
-        change re-adds the activities indexed under the changed places
-        (conservative ones are re-added after every completion) -- so the
-        drop never changes which activity fires next.  The vectorised arc
-        pass also verifies candidates *beyond* the round's firing point,
-        which the scalar walk never reached; dropping those is sound by
-        the same argument, since input-arc places are always part of an
+        A candidate *verified* disabled (by arcs or a gate) is dropped
+        from its row's mask: it can only become enabled again through a
+        marking change, and every change re-adds the activities indexed
+        under the changed places (conservative ones are re-added after
+        every completion) -- so the drop never changes which activity
+        fires next.  The vectorised arc pass also verifies candidates
+        *beyond* the round's firing point; dropping those is sound by the
+        same argument, since input-arc places are always part of an
         activity's dependency index.  A row leaves the chain when no
         candidate fires (drained) or its stop predicate triggers.
         """
@@ -729,17 +749,19 @@ class BatchedSANExecutor:
         )
 
     # ------------------------------------------------------------------
-    # Dependency walks (index-based mirrors of the scalar executor's)
+    # Dependency walks
     # ------------------------------------------------------------------
     def _affected_timed(
         self, changed_idx: Set[int], changed_names: Set[str]
     ) -> Dict[int, CompiledActivity]:
-        """Timed activities to re-evaluate, in the scalar executor's order.
+        """Timed activities to re-evaluate, in the oracle's walk order.
 
         Conservative (undeclared-watch) activities first in declaration
         order, then the changed places walked in *name-sorted* order --
         the insertion order of this dict is the refresh (and therefore
-        seq-assignment) order, exactly like the scalar ``_affected_timed``.
+        seq-assignment) order.  Activities the index leaves out cannot
+        change enablement, so skipping them schedules exactly what the
+        oracle's full re-evaluation schedules.
         """
         compiled = self._compiled
         affected: Dict[int, CompiledActivity] = {
@@ -747,9 +769,9 @@ class BatchedSANExecutor:
         }
         timed_by_place = compiled.timed_by_place
         if changed_names:
-            # Slow path (gate wrote an undeclared place): fall back to the
-            # scalar executor's literal name-sorted walk over all changed
-            # names, declared and undeclared interleaved.
+            # Slow path (gate wrote an undeclared place): a literal
+            # name-sorted walk over all changed names, declared and
+            # undeclared interleaved.
             names = {
                 compiled.place_names[index] for index in changed_idx
             } | changed_names
@@ -778,7 +800,7 @@ class BatchedSANExecutor:
 
         ``affected`` is ordered: the refresh (and therefore
         seq-assignment) order is :meth:`_affected_timed`'s insertion
-        order, the scalar executor's contract.
+        order, the oracle's contract.
         """
         tokens = row.tokens
         marking = row.marking
@@ -806,14 +828,13 @@ class BatchedSANExecutor:
     def _make_sampler(
         self, row: _Row, activity: CompiledActivity
     ) -> DurationSampler:
-        """Per-(row, activity) duration sampler; scalar classification.
+        """Per-(row, activity) duration sampler, by compiled duration kind.
 
-        Constants never touch their stream (in the scalar executor the
-        stream object is created but never drawn from -- stream derivation
-        is a pure function of (seed, name), so not creating it here is
-        draw-for-draw identical); batchable fixed distributions share the
-        scalar executor's pre-drawing sampler; everything else falls back
-        to the generic one-draw-per-call path.
+        Constants never touch their stream (drawing a constant consumes no
+        randomness, so skipping the stream is draw-for-draw identical);
+        batchable fixed distributions pre-draw through
+        :class:`~repro.san.compiled._BatchedDurationSampler`; everything
+        else falls back to the generic one-draw-per-call path.
         """
         kind = activity.duration_kind
         if kind == DURATION_CONSTANT:
@@ -863,4 +884,9 @@ class BatchedSANExecutor:
         )
 
 
-__all__ = ["BatchedSANExecutor"]
+__all__ = [
+    "MAX_INSTANTANEOUS_CHAIN",
+    "BatchedSANExecutor",
+    "ExecutionResult",
+    "SANExecutionError",
+]

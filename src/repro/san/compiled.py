@@ -10,37 +10,38 @@ closures but re-keyed by activity index.  The compiled form is what
 replications advance lock-step over a ``B x places`` token matrix instead
 of ``B`` independent object-graph walks.
 
-Like the scalar executor's ``_ModelStructure`` (PR 5), the compiled model
-is derived purely from the model's immutable shape, built once and cached
-on the model instance keyed by
-:attr:`~repro.san.model.SANModel.structure_version`.
+The compiled model is derived purely from the model's immutable shape,
+built once and cached on the model instance keyed by
+:attr:`~repro.san.model.SANModel.structure_version`.  Its dependency
+tables are the only place-to-activity index in the package.
 
 Ordering contracts
 ------------------
-The compiled tables preserve every ordering the scalar executor's golden
-traces pin down, so a batched row replays the scalar trajectory exactly:
+The compiled tables preserve every ordering the golden traces pin down,
+so a batched row replays the trajectory of the
+:class:`~repro.san.executor.SANExecutor` oracle exactly:
 
 * :attr:`CompiledSANModel.timed` is in model declaration order (the order
   of the initial activation walk, and the conservative ``global_timed``
   prefix of every refresh keeps it);
 * :attr:`CompiledSANModel.instantaneous` is rank-sorted with declaration
   order breaking ties, so a compiled instantaneous *index* compares
-  exactly like the scalar executor's ``inst_order`` precedence;
+  exactly like the oracle's rank-sorted firing precedence;
 * per-place watcher tuples keep activity order, and
   :attr:`CompiledSANModel.place_sort_rank` ranks place indices by place
-  *name* so the batched refresh can walk changed places in the scalar
-  executor's ``sorted(changed)`` order without comparing strings.
+  *name* so the batched refresh can walk changed places in name order
+  without comparing strings.
 
-These orderings are what make the two executors bit-identical: a
-replication's random draw order (activation draws, case draws) is a pure
-function of the traversal order the tables encode, so any change here
-must keep the golden traces -- and therefore the determinism contract of
-:mod:`repro.san.solver` -- intact.
+These orderings are what make the batched executor bit-identical to the
+oracle: a replication's random draw order (activation draws, case draws)
+is a pure function of the traversal order the tables encode, so any
+change here must keep the golden traces -- and therefore the determinism
+contract of :mod:`repro.san.solver` -- intact.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,14 +51,56 @@ from repro.san.marking import FrozenMarking, Marking, PlaceRef
 from repro.san.model import SANModel
 from repro.stats.distributions import Constant, supports_batch
 
-#: Duration-sampling strategies of a compiled timed activity (mirrors the
-#: scalar executor's ``_make_duration_sampler`` classification).
+#: Duration-sampling strategies of a compiled timed activity: constants
+#: never touch their stream, fixed vectorisable distributions pre-draw
+#: batches (:class:`_BatchedDurationSampler`), everything else draws one
+#: value per call.
 DURATION_CONSTANT = 0
 DURATION_BATCHED = 1
 DURATION_GENERIC = 2
 
 #: A duration sampler bound to one (row, activity) pair: marking -> delay.
 DurationSampler = Callable[[Marking], float]
+
+#: Durations pre-drawn per activity stream when the distribution supports
+#: batched sampling.  Small enough that mostly-idle activities waste little
+#: numpy work, large enough to amortise the per-call overhead.
+DURATION_BATCH = 16
+
+
+class _BatchedDurationSampler:
+    """Serves durations from pre-drawn batches of a fixed distribution.
+
+    Bit-identical to one draw per call: numpy ``Generator`` methods fill
+    arrays from the same bit stream that scalar calls consume, and the
+    wrapped stream is private to one activity's durations.
+    """
+
+    __slots__ = ("_dist", "_rng", "_name", "_values", "_next")
+
+    def __init__(self, dist: Any, rng: np.random.Generator, name: str) -> None:
+        # ``dist`` is duck-typed: compilation classifies it with supports_batch().
+        self._dist = dist
+        self._rng = rng
+        self._name = name
+        self._values: Sequence[float] = ()
+        self._next = 0
+
+    def __call__(self, marking: Marking) -> float:
+        position = self._next
+        values = self._values
+        if position >= len(values):
+            values = self._values = self._dist.sample_batch(
+                self._rng, DURATION_BATCH
+            )
+            position = 0
+        self._next = position + 1
+        value = float(values[position])
+        if value < 0:
+            raise ValueError(
+                f"activity {self._name!r}: sampled a negative duration {value}"
+            )
+        return value
 
 
 class CompiledCase:
@@ -99,7 +142,7 @@ class CompiledActivity:
 
     ``index`` is the position in the owning kind's list: declaration order
     for timed activities, rank-sorted firing precedence for instantaneous
-    ones (i.e. the scalar executor's ``inst_order`` position).
+    ones.
     """
 
     __slots__ = (
@@ -224,8 +267,8 @@ class CompiledSANModel:
             name: index for index, name in enumerate(self.place_names)
         }
         #: Rank of each place index in *name-sorted* order: sorting changed
-        #: place indices by this rank reproduces the scalar executor's
-        #: ``sorted(changed)`` walk without comparing strings.
+        #: place indices by this rank reproduces a ``sorted(changed)`` walk
+        #: over place names without comparing strings.
         rank_of_name = {
             name: rank for rank, name in enumerate(sorted(self.place_names))
         }
@@ -274,7 +317,7 @@ class CompiledSANModel:
         }
         #: Watched place *names* not declared in the model (only reachable
         #: through gate functions writing undeclared places); kept
-        #: name-keyed exactly like the scalar executor's index.
+        #: name-keyed.
         self.timed_by_unknown: Dict[str, Tuple[CompiledActivity, ...]] = {
             name: tuple(activities)
             for name, activities in timed_by_unknown.items()  # repro: ignore[DET001] re-keying only; the result is read by .get(key), never iterated in order
@@ -294,8 +337,7 @@ class CompiledSANModel:
         # firing-precedence position ``i``, so OR-ing the masks of the
         # changed places rebuilds the candidate set with one integer OR
         # per place, and the *lowest set bit* of a candidate mask is the
-        # next activity the scalar executor's rank-ordered walk would
-        # visit.
+        # next activity a rank-ordered walk would visit.
         self.n_inst = len(self.instantaneous)
         self.global_inst_bits = self._inst_bits(self.global_inst)
         self.inst_bits_by_place: Dict[int, int] = {
@@ -353,15 +395,14 @@ class CompiledSANModel:
         unknown: Dict[str, List[CompiledActivity]],
         global_list: List[CompiledActivity],
     ) -> None:
-        """Dependency index: same policy as the scalar ``_ModelStructure``.
+        """Dependency index of one activity.
 
         An activity whose gates all declare their watched places is indexed
         under every place it reads; one with an undeclared watch list is
         conservatively re-evaluated after every completion.  Watched place
         *names* outside the model (which arc validation cannot reject) go
-        into the name-keyed ``unknown`` side index, mirroring the scalar
-        executor exactly -- they can only be triggered by gate functions
-        writing those names.
+        into the name-keyed ``unknown`` side index -- they can only be
+        triggered by gate functions writing those names.
         """
         places: Set[int] = {place for place, _ in compiled.input_arcs}
         names: Set[str] = set()
@@ -427,9 +468,8 @@ class CompiledSANModel:
 def compile_model(model: SANModel) -> CompiledSANModel:
     """The cached :class:`CompiledSANModel` of ``model`` (rebuilt when stale).
 
-    Same caching discipline as the scalar executor's ``_structure_for``:
-    keyed by ``structure_version``, shared by every batched executor over
-    the same unchanged model.
+    Keyed by ``structure_version``, so every batched executor over the
+    same unchanged model shares one compiled form.
     """
     cached = getattr(model, "_compiled_model", None)
     if cached is not None and cached.version == model.structure_version:
@@ -444,13 +484,13 @@ class RowMarking(Marking):
 
     Gate closures, reward variables, case-probability callables and stop
     predicates receive this adapter, so the batched executor feeds the
-    exact same callable interfaces as the scalar one.  Reads and writes
+    exact same callable interfaces as a plain marking.  Reads and writes
     resolve place names to row indices through the compiled place table;
     writes journal the changed *indices* (consumed by the batched
     executor's dependency walk).  Names outside the compiled model --
     reachable only through gate closures writing undeclared places, which
     arc validation cannot see -- spill into a per-row overflow mapping and
-    are journalled by name, mirroring the scalar marking.
+    are journalled by name, like a plain marking.
     """
 
     __slots__ = (
@@ -603,6 +643,7 @@ __all__ = [
     "CompiledActivity",
     "CompiledCase",
     "CompiledSANModel",
+    "DURATION_BATCH",
     "DURATION_BATCHED",
     "DURATION_CONSTANT",
     "DURATION_GENERIC",

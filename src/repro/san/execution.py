@@ -1,29 +1,30 @@
 """Process-wide execution policy for the SAN simulative solver.
 
-:meth:`SimulativeSolver.solve` takes ``strategy`` ("scalar" / "batched")
-and ``batch_size`` (a count or ``"auto"``) arguments, but most call
-sites -- experiment specs, model comparison scripts, the CLI -- sit
-several layers above the solver and should not have to thread executor
-knobs through every signature.  This module provides the bridge: an
+:meth:`SimulativeSolver.solve` runs every replication through the
+lock-step :class:`~repro.san.batched.BatchedSANExecutor` and takes a
+``batch_size`` argument (a count or ``"auto"``), but most call sites --
+experiment specs, model comparison scripts, the CLI -- sit several layers
+above the solver and should not have to thread executor knobs through
+every signature.  This module provides the bridge: an
 :class:`ExecutionPolicy` that can be *activated* for the process, and
-``resolve_*`` helpers the solver consults whenever a call site passes
-``None``.
+:func:`resolve_batch_size`, which the solver consults whenever a call
+site passes ``None``.
 
 Resolution order (first hit wins):
 
 1. the explicit argument of the ``solve()`` call,
-2. the activated policy (transported via ``REPRO_SAN_STRATEGY`` /
-   ``REPRO_SAN_BATCH_SIZE`` environment variables),
-3. the defaults: ``"scalar"`` strategy, ``"auto"`` batch sizing.
+2. the activated policy (transported via the ``REPRO_SAN_BATCH_SIZE``
+   environment variable),
+3. the default: ``"auto"`` batch sizing.
 
 The environment is used as the store deliberately: worker processes of
 pooled sweeps inherit it, so a policy activated in the parent governs
 every replication wherever it runs.  The policy is **not** part of
 result identity -- replication seeds and named streams do not depend on
-it, both executors are bit-identical per replication, and batch size
-never changes results -- so it is excluded from experiment settings
-hashes and result-cache keys on purpose: flipping the strategy must hit
-the cache, not invalidate it.
+it, and the batch size never changes results (every row is bit-identical
+to the :class:`~repro.san.executor.SANExecutor` test oracle) -- so it is
+excluded from experiment settings hashes and result-cache keys on
+purpose: changing the batch size must hit the cache, not invalidate it.
 """
 
 from __future__ import annotations
@@ -35,24 +36,16 @@ from typing import Optional, Union
 __all__ = [
     "AUTO_BATCH_SIZE",
     "BATCH_SIZE_ENV",
-    "STRATEGIES",
-    "STRATEGY_ENV",
     "ExecutionPolicy",
     "activate",
     "active_policy",
     "parse_batch_size",
-    "parse_strategy",
     "resolve_batch_size",
     "resolve_strategy",
 ]
 
-#: Environment variable naming the executor strategy for the process.
-STRATEGY_ENV = "REPRO_SAN_STRATEGY"
 #: Environment variable naming the lock-step batch size for the process.
 BATCH_SIZE_ENV = "REPRO_SAN_BATCH_SIZE"
-
-#: The recognised executor strategies.
-STRATEGIES = ("scalar", "batched")
 
 #: Sentinel batch size selecting the compiled-model-size heuristic
 #: (:func:`repro.san.solver.auto_batch_size`).
@@ -60,18 +53,6 @@ AUTO_BATCH_SIZE = "auto"
 
 #: A resolved batch size: a positive replication count or ``"auto"``.
 BatchSize = Union[int, str]
-
-
-def parse_strategy(value: str, source: str = "strategy") -> str:
-    """Validate an executor strategy name.
-
-    ``source`` names the offending input in the error message (argument
-    name or environment variable).
-    """
-    if value not in STRATEGIES:
-        expected = " or ".join(repr(name) for name in STRATEGIES)
-        raise ValueError(f"unknown {source} {value!r}: expected {expected}")
-    return value
 
 
 def parse_batch_size(value: BatchSize, source: str = "batch_size") -> BatchSize:
@@ -103,18 +84,14 @@ def parse_batch_size(value: BatchSize, source: str = "batch_size") -> BatchSize:
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """A (strategy, batch size) pair governing SAN solver calls.
+    """The batch size governing SAN solver calls.
 
-    ``None`` fields defer to the next layer of the resolution order --
-    a policy may pin the strategy while leaving batch sizing automatic.
+    ``None`` defers to the next layer of the resolution order.
     """
 
-    strategy: Optional[str] = None
     batch_size: Optional[BatchSize] = None
 
     def __post_init__(self) -> None:
-        if self.strategy is not None:
-            parse_strategy(self.strategy)
         if self.batch_size is not None:
             object.__setattr__(
                 self, "batch_size", parse_batch_size(self.batch_size)
@@ -124,13 +101,9 @@ class ExecutionPolicy:
 def activate(policy: ExecutionPolicy) -> None:
     """Install ``policy`` as the process default (and for child workers).
 
-    ``None`` fields clear any previously activated value, so activating
-    ``ExecutionPolicy()`` restores the built-in defaults.
+    A ``None`` batch size clears any previously activated value, so
+    activating ``ExecutionPolicy()`` restores the built-in default.
     """
-    if policy.strategy is None:
-        os.environ.pop(STRATEGY_ENV, None)
-    else:
-        os.environ[STRATEGY_ENV] = policy.strategy
     if policy.batch_size is None:
         os.environ.pop(BATCH_SIZE_ENV, None)
     else:
@@ -138,31 +111,23 @@ def activate(policy: ExecutionPolicy) -> None:
 
 
 def active_policy() -> ExecutionPolicy:
-    """The currently activated policy (fields ``None`` when unset)."""
-    strategy = os.environ.get(STRATEGY_ENV)
-    if strategy is not None:
-        strategy = parse_strategy(strategy, source=STRATEGY_ENV)
+    """The currently activated policy (``batch_size`` ``None`` when unset)."""
     batch_size: Optional[BatchSize] = os.environ.get(BATCH_SIZE_ENV)
     if batch_size is not None:
         batch_size = parse_batch_size(batch_size, source=BATCH_SIZE_ENV)
-    return ExecutionPolicy(strategy=strategy, batch_size=batch_size)
+    return ExecutionPolicy(batch_size=batch_size)
 
 
-def resolve_strategy(explicit: Optional[str] = None) -> str:
-    """The strategy a solver call should use.
+def resolve_strategy() -> str:
+    """The executor every solver call uses: always ``"batched"``.
 
-    Explicit argument beats the activated policy beats ``"scalar"``.
+    Kept for callers that report the executor next to the batch size.
     """
-    if explicit is not None:
-        return parse_strategy(explicit)
-    policy = active_policy()
-    if policy.strategy is not None:
-        return policy.strategy
-    return STRATEGIES[0]
+    return "batched"
 
 
 def resolve_batch_size(explicit: Optional[BatchSize] = None) -> BatchSize:
-    """The batch size a batched solver call should use.
+    """The batch size a solver call should use.
 
     Explicit argument beats the activated policy beats ``"auto"`` (the
     compiled-model-size heuristic).

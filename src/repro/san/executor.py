@@ -1,9 +1,20 @@
-"""Discrete-event execution of a SAN.
+"""The reference SAN executor: a deliberately simple test oracle.
 
-The executor turns a :class:`~repro.san.model.SANModel` into a trajectory:
-it tracks the current marking, keeps enabled timed activities scheduled on a
-:class:`~repro.des.simulator.Simulator`, fires instantaneous activities as
-soon as they are enabled and notifies reward variables of every completion.
+:class:`SANExecutor` turns a :class:`~repro.san.model.SANModel` into one
+trajectory the plain way: it tracks the current marking, keeps enabled
+timed activities scheduled on a :class:`~repro.des.simulator.Simulator`,
+fires instantaneous activities as soon as they are enabled and notifies
+reward variables of every completion.  Production solving runs through
+:class:`~repro.san.batched.BatchedSANExecutor`; this executor exists to
+pin it down.  The golden-trace, property and benchmark suites hold the
+batched executor to it replication for replication, so it keeps none of
+the batched executor's machinery:
+
+* after every completion it re-evaluates **every** activity (no
+  dependency index);
+* it draws one duration per call, straight from the activity's named
+  stream (no pre-drawn batches);
+* it runs on the DES calendar (no completion-time matrix).
 
 Execution semantics
 -------------------
@@ -21,192 +32,62 @@ Execution semantics
   when no activity is enabled (dead marking), or when the time horizon is
   reached.
 
-Performance
------------
-The consensus models generated by :mod:`repro.sanmodels` contain several
-hundred activities, so re-evaluating every activity after every completion
-would dominate the run time.  Three structures keep the hot loop small:
-
-* A **dependency index** from places to the activities whose input arcs or
-  input gates (via :attr:`~repro.san.gates.InputGate.watched_places`) read
-  them.  The marking's change journal then re-evaluates only the activities
-  that may have been affected by a completion; activities whose gates do
-  not declare their watched places are conservatively re-evaluated after
-  every completion.  The index (and the rank-sorted instantaneous order)
-  depends only on the model structure, so it is built once per model and
-  cached on it, keyed by :attr:`~repro.san.model.SANModel.structure_version`
-  -- replication sweeps construct one executor per replication over the
-  same model.
-* The **instantaneous-firing chain** walks only the candidate activities
-  (sorted into the deterministic rank/definition order) instead of scanning
-  the model's full instantaneous list on every firing.
-* **Batched duration draws**: activities with a fixed vectorisable
-  distribution pre-draw a small batch of durations per named stream.
-  numpy array draws are bit-identical to repeated scalar draws from the
-  same stream (see :mod:`repro.stats.distributions`), and each activity
-  owns its stream, so fixed-seed trajectories are unchanged.
-
-:class:`~repro.san.reference.ReferenceExecutor` disables all of this and
-re-evaluates everything after every completion; golden-trace and property
-tests hold the two implementations to identical behaviour.
+Walk order
+----------
+Timed activities are re-evaluated in a fixed order, because the order in
+which newly enabled activities are scheduled assigns their calendar
+sequence numbers, which break same-instant completion ties (equal
+constant durations).  At start-up the order is declaration order.  After
+a completion it is: activities with a gate that declares no watched
+places, then the readers of each changed place with the places walked in
+name order, then the completed activity, then everything else.  Every
+draw comes from a stream named after its activity
+(``san.duration.<activity>`` / ``san.case.<activity>``), so the draws
+are a pure function of the seed and this order.  The batched executor
+follows the same contract, which makes the two bit-identical per
+replication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.des.event import Event, EventState
 from repro.des.simulator import Simulator
-from repro.san.activities import Activity, InstantaneousActivity, TimedActivity
+from repro.san.activities import Activity, TimedActivity
+from repro.san.batched import (
+    MAX_INSTANTANEOUS_CHAIN,
+    ExecutionResult,
+    MarkingPredicate,
+    SANExecutionError,
+)
 from repro.san.marking import Marking
 from repro.san.model import SANModel
 from repro.san.rewards import RewardVariable
-from repro.stats.distributions import Constant, supports_batch
+from repro.san.solver import (
+    ReplicationResult,
+    SimulativeSolver,
+    _ActivityTraceRecorder,
+)
 
-MarkingPredicate = Callable[[Marking], bool]
-
-#: Safety bound on consecutive instantaneous firings without time advancing,
-#: to catch accidentally-unstable (vanishing-marking) loops in models.
-MAX_INSTANTANEOUS_CHAIN = 1_000_000
-
-#: Durations pre-drawn per activity stream when the distribution supports
-#: batched sampling.  Small enough that mostly-idle activities waste little
-#: numpy work, large enough to amortise the per-call overhead.
-DURATION_BATCH = 16
-
-
-class SANExecutionError(RuntimeError):
-    """Raised when a model misbehaves during execution."""
+__all__ = [
+    "ExecutionResult",
+    "SANExecutionError",
+    "SANExecutor",
+    "run_replication",
+]
 
 
-@dataclass
-class ExecutionResult:
-    """Outcome of one replication."""
-
-    end_time: float
-    stopped_by_predicate: bool
-    dead_marking: bool
-    completions: int
-    final_marking: Marking
-
-
-class _ModelStructure:
-    """Execution structures derived from a model's (immutable) shape.
-
-    Built once per model and cached on the model instance keyed by its
-    :attr:`~repro.san.model.SANModel.structure_version`; every executor
-    over the same unchanged model shares the same instance.
-    """
-
-    __slots__ = (
-        "version",
-        "timed",
-        "instantaneous",
-        "inst_by_name",
-        "inst_order",
-        "timed_by_place",
-        "inst_by_place",
-        "global_timed",
-        "global_inst",
-        "global_inst_names",
-    )
-
-    def __init__(self, model: SANModel) -> None:
-        self.version = model.structure_version
-        self.timed: List[TimedActivity] = model.timed_activities
-        self.instantaneous: List[InstantaneousActivity] = sorted(
-            model.instantaneous_activities,
-            key=lambda activity: activity.rank,
-        )
-        #: Firing precedence: position in the rank-sorted list (``sorted``
-        #: is stable, so ties keep definition order).
-        self.inst_order: Dict[str, int] = {
-            activity.name: position
-            for position, activity in enumerate(self.instantaneous)
-        }
-        self.inst_by_name: Dict[str, InstantaneousActivity] = {
-            activity.name: activity for activity in self.instantaneous
-        }
-        self.timed_by_place: Dict[str, List[TimedActivity]] = {}
-        self.inst_by_place: Dict[str, List[InstantaneousActivity]] = {}
-        self.global_timed: List[TimedActivity] = []
-        self.global_inst: List[InstantaneousActivity] = []
-        for activity in self.timed:
-            self._index_activity(activity, self.timed_by_place, self.global_timed)
-        for activity in self.instantaneous:
-            self._index_activity(activity, self.inst_by_place, self.global_inst)
-        self.global_inst_names: Set[str] = {
-            activity.name for activity in self.global_inst
-        }
-
-    @staticmethod
-    def _index_activity(
-        activity: Activity, index: Dict[str, list], global_list: list
-    ) -> None:
-        places: Set[str] = {place for place, _ in activity.input_arcs}
-        conservative = False
-        for gate in activity.input_gates:
-            if gate.watched_places:
-                places.update(gate.watched_places)
-            else:
-                conservative = True
-        if conservative:
-            global_list.append(activity)
-            return
-        for place in places:
-            index.setdefault(place, []).append(activity)
-
-
-def _structure_for(model: SANModel) -> _ModelStructure:
-    """The cached :class:`_ModelStructure` of ``model`` (rebuilt when stale)."""
-    cached = getattr(model, "_executor_structure", None)
-    if cached is not None and cached.version == model.structure_version:
-        return cached
-    structure = _ModelStructure(model)
-    model._executor_structure = structure  # type: ignore[attr-defined]
-    return structure
-
-
-class _BatchedDurationSampler:
-    """Serves durations from pre-drawn batches of a fixed distribution.
-
-    Bit-identical to scalar draws: numpy ``Generator`` methods fill arrays
-    from the same bit stream that scalar calls consume, and the wrapped
-    stream is private to one activity's durations.
-    """
-
-    __slots__ = ("_dist", "_rng", "_name", "_values", "_next")
-
-    def __init__(self, dist: Any, rng: np.random.Generator, name: str) -> None:
-        # ``dist`` is duck-typed: the call site guards with supports_batch().
-        self._dist = dist
-        self._rng = rng
-        self._name = name
-        self._values = ()
-        self._next = 0
-
-    def __call__(self, marking: Marking) -> float:
-        position = self._next
-        values = self._values
-        if position >= len(values):
-            values = self._values = self._dist.sample_batch(
-                self._rng, DURATION_BATCH
-            )
-            position = 0
-        self._next = position + 1
-        value = float(values[position])
-        if value < 0:
-            raise ValueError(
-                f"activity {self._name!r}: sampled a negative duration {value}"
-            )
-        return value
+def _read_places(activity: Activity) -> Set[str]:
+    """Places an activity's enablement depends on (arcs and watched places)."""
+    places = {place for place, _ in activity.input_arcs}
+    for gate in activity.input_gates:
+        places.update(gate.watched_places)
+    return places
 
 
 class SANExecutor:
-    """Executes one replication of a SAN model.
+    """Executes one replication of a SAN model by full re-evaluation.
 
     Parameters
     ----------
@@ -238,81 +119,24 @@ class SANExecutor:
             initial_marking.copy() if initial_marking is not None
             else model.initial_marking()
         )
-        structure = self._structure(model)
-        self._timed = structure.timed
-        self._instantaneous = structure.instantaneous
-        self._inst_by_name = structure.inst_by_name
-        self._inst_order = structure.inst_order
-        self._timed_by_place = structure.timed_by_place
-        self._inst_by_place = structure.inst_by_place
-        self._global_timed = structure.global_timed
-        self._global_inst_names = structure.global_inst_names
-        # One named stream per activity (created lazily, memoised here to
-        # keep the hot loop to a dict lookup): an activity's durations and
-        # case choices are a pure function of (master seed, activity
-        # name), so the order in which activities happen to be
-        # re-evaluated -- which used to follow PYTHONHASHSEED-dependent
-        # set iteration over the change journal -- cannot perturb the
-        # sampled values.
-        self._duration_samplers: Dict[str, Callable[[Marking], float]] = {}
-        self._case_rngs: Dict[str, object] = {}
+        self._timed = model.timed_activities
+        # ``sorted`` is stable: rank ties keep definition order.
+        self._instantaneous = sorted(
+            model.instantaneous_activities, key=lambda activity: activity.rank
+        )
+        self._reads = {
+            activity.name: _read_places(activity) for activity in self._timed
+        }
+        self._unwatched = {
+            activity.name
+            for activity in self._timed
+            if any(not gate.watched_places for gate in activity.input_gates)
+        }
         self._scheduled: Dict[str, Event] = {}
         self._completions = 0
         self._stop_predicate: Optional[MarkingPredicate] = None
         self._stopped_by_predicate = False
 
-    @staticmethod
-    def _structure(model: SANModel) -> _ModelStructure:
-        """The per-model execution structures (cached on the model)."""
-        return _structure_for(model)
-
-    # ------------------------------------------------------------------
-    # Dependency index
-    # ------------------------------------------------------------------
-    def _affected_timed(self, changed: Set[str]) -> List[TimedActivity]:
-        affected: Dict[str, TimedActivity] = {a.name: a for a in self._global_timed}
-        timed_by_place = self._timed_by_place
-        # Sorted for determinism: the iteration order decides the relative
-        # event-queue order (and hence the firing order) of activities
-        # scheduled for the *same* instant, e.g. equal constant durations.
-        for place in sorted(changed):
-            for activity in timed_by_place.get(place, ()):
-                affected[activity.name] = activity
-        return list(affected.values())  # repro: ignore[DET001] insertion order is the documented contract above: global activities first, then sorted changed places
-
-    def _affected_instantaneous(self, changed: Set[str]) -> Set[str]:
-        names = set(self._global_inst_names)
-        inst_by_place = self._inst_by_place
-        for place in changed:
-            for activity in inst_by_place.get(place, ()):
-                names.add(activity.name)
-        return names
-
-    def affected_activity_names(self, changed: Iterable[str]) -> Set[str]:
-        """Names of every activity the dependency index re-evaluates when
-        the given places change.
-
-        Exposed for the property tests that hold the incremental index to
-        the reference semantics: any activity whose enabling status can
-        differ between two markings must be in this set for the places on
-        which the markings differ.
-        """
-        changed_set = set(changed)
-        names = {activity.name for activity in self._affected_timed(changed_set)}
-        names |= self._affected_instantaneous(changed_set)
-        return names
-
-    def scheduled_activity_names(self) -> Set[str]:
-        """Names of the timed activities currently scheduled to complete."""
-        return {
-            name
-            for name, event in self._scheduled.items()
-            if event.state is EventState.PENDING
-        }
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def run(
         self,
         until: Optional[float] = None,
@@ -339,15 +163,15 @@ class SANExecutor:
         if stop_predicate is not None and stop_predicate(self.marking):
             self._stopped_by_predicate = True
         else:
-            self._fire_instantaneous_chain(None)
+            self._fire_instantaneous_chain()
             if not self._stopped_by_predicate:
-                self._refresh_timed_activities(self._timed)
+                self._refresh_timed(self._timed)
                 self.sim.run(until=until)
 
         end_time = self.sim.now
         for reward in self.rewards:
             reward.finalize(self.marking, end_time)
-        dead = not self._stopped_by_predicate and not self._any_timed_scheduled()
+        dead = not self._stopped_by_predicate and not self.scheduled_activity_names()
         return ExecutionResult(
             end_time=end_time,
             stopped_by_predicate=self._stopped_by_predicate,
@@ -361,72 +185,56 @@ class SANExecutor:
         """Number of activity completions so far (timed + instantaneous)."""
         return self._completions
 
+    def scheduled_activity_names(self) -> Set[str]:
+        """Names of the timed activities currently scheduled to complete."""
+        return {
+            name
+            for name, event in self._scheduled.items()
+            if event.state is EventState.PENDING
+        }
+
     # ------------------------------------------------------------------
-    # Timed activities
-    # ------------------------------------------------------------------
-    def _refresh_timed_activities(self, activities: Iterable[TimedActivity]) -> None:
+    def _refresh_order(
+        self, completed: TimedActivity, changed: Set[str]
+    ) -> List[TimedActivity]:
+        """Every timed activity, in the post-completion walk order."""
+        place_rank = {place: rank for rank, place in enumerate(sorted(changed))}
+
+        def key(entry: Tuple[int, TimedActivity]) -> Tuple[int, int, int]:
+            position, activity = entry
+            if activity.name in self._unwatched:
+                return (0, 0, position)
+            ranks = [
+                place_rank[place]
+                for place in self._reads[activity.name]
+                if place in place_rank
+            ]
+            if ranks:
+                return (1, min(ranks), position)
+            if activity is completed:
+                return (2, 0, 0)
+            return (3, 0, position)
+
+        return [activity for _, activity in sorted(enumerate(self._timed), key=key)]
+
+    def _refresh_timed(self, activities: Iterable[TimedActivity]) -> None:
+        """Schedule newly enabled activities and cancel disabled ones."""
         marking = self.marking
-        scheduled_events = self._scheduled
-        samplers = self._duration_samplers
-        schedule = self.sim.schedule
-        complete_timed = self._complete_timed
         for activity in activities:
             name = activity.name
-            scheduled = scheduled_events.get(name)
-            is_scheduled = (
-                scheduled is not None and scheduled.state is EventState.PENDING
-            )
+            event = self._scheduled.get(name)
+            scheduled = event is not None and event.state is EventState.PENDING
             enabled = activity.enabled(marking)
-            if enabled and not is_scheduled:
-                sampler = samplers.get(name)
-                if sampler is None:
-                    sampler = self._make_duration_sampler(activity)
-                    samplers[name] = sampler
-                scheduled_events[name] = schedule(
-                    sampler(marking), complete_timed, activity
+            if enabled and not scheduled:
+                rng = self.sim.random.stream(f"san.duration.{name}")
+                self._scheduled[name] = self.sim.schedule(
+                    activity.sample_duration(marking, rng),
+                    self._complete_timed,
+                    activity,
                 )
-            elif not enabled and is_scheduled:
-                scheduled.cancel()
-                del scheduled_events[name]
-
-    def _make_duration_sampler(
-        self, activity: TimedActivity
-    ) -> Callable[[Marking], float]:
-        """Build the duration sampler for one activity's named stream.
-
-        Fixed distributions with a batch sampler are wrapped in
-        :class:`_BatchedDurationSampler`; constants skip the stream
-        entirely (their draws never consume randomness); everything else
-        (marking-dependent or non-vectorisable distributions) falls back
-        to the generic one-draw-per-call path.
-        """
-        rng = self.sim.random.stream(f"san.duration.{activity.name}")
-        dist = activity.distribution
-        if not callable(dist) or hasattr(dist, "sample"):
-            if isinstance(dist, Constant):
-                # Constants never touch the stream, so the dict lookup and
-                # numpy call can be skipped outright.  Validate here so a
-                # bad constant raises the same attributed error the scalar
-                # path would (Constant() guards construction, but the
-                # value is still user-reachable via subclassing/mutation).
-                constant = float(dist.value)
-                if constant < 0:
-                    raise ValueError(
-                        f"activity {activity.name!r}: sampled a negative "
-                        f"duration {constant}"
-                    )
-
-                def constant_sampler(_marking: Marking) -> float:
-                    return constant
-
-                return constant_sampler
-            if supports_batch(dist):
-                return _BatchedDurationSampler(dist, rng, activity.name)
-
-        def generic_sampler(marking: Marking) -> float:
-            return activity.sample_duration(marking, rng)
-
-        return generic_sampler
+            elif not enabled and event is not None and scheduled:
+                event.cancel()
+                del self._scheduled[name]
 
     def _complete_timed(self, activity: TimedActivity) -> None:
         self._scheduled.pop(activity.name, None)
@@ -436,85 +244,44 @@ class SANExecutor:
                 f"timed activity {activity.name!r} fired while disabled"
             )
         changed = self._complete(activity)
+        if not self._stopped_by_predicate:
+            changed |= self._fire_instantaneous_chain()
         if self._stopped_by_predicate:
             self.sim.stop()
             return
-        changed |= self._fire_instantaneous_chain(
-            self._affected_instantaneous(changed)
-        )
-        if self._stopped_by_predicate:
-            self.sim.stop()
-            return
-        affected = self._affected_timed(changed)
-        if activity not in affected:
-            affected.append(activity)
-        self._refresh_timed_activities(affected)
+        self._refresh_timed(self._refresh_order(activity, changed))
 
-    def _any_timed_scheduled(self) -> bool:
-        return any(
-            event.state is EventState.PENDING
-            for event in self._scheduled.values()
-        )
-
-    # ------------------------------------------------------------------
-    # Instantaneous activities
-    # ------------------------------------------------------------------
-    def _fire_instantaneous_chain(self, candidate_names: Optional[Set[str]]) -> Set[str]:
+    def _fire_instantaneous_chain(self) -> Set[str]:
         """Fire enabled instantaneous activities until none remains enabled.
 
-        ``candidate_names`` limits the activities that may have become
-        enabled (``None`` means "consider all", used at start-up).  Returns
-        the union of all marking changes produced by the chain.
-
-        Each round fires the lowest-ranked enabled candidate (definition
-        order breaking rank ties), exactly as if the model's full
-        rank-sorted instantaneous list were scanned; walking only the
-        candidates -- sorted into that same precedence order -- keeps the
-        scan proportional to the affected set, not the model size.
+        Each round rescans the rank-sorted list and fires the first enabled
+        activity.  Returns the union of the chain's marking changes.
         """
-        if candidate_names is None:
-            candidates = set(self._inst_order)
-        else:
-            candidates = set(candidate_names)
-        order = self._inst_order
-        by_name = self._inst_by_name
-        marking = self.marking
-        all_changed: Set[str] = set()
+        changed: Set[str] = set()
         for _ in range(MAX_INSTANTANEOUS_CHAIN):
-            if not candidates:
-                return all_changed
-            fired = None
-            for name in sorted(candidates, key=order.__getitem__):
-                activity = by_name[name]
-                if activity.enabled(marking):
-                    fired = activity
-                    break
+            fired = next(
+                (
+                    activity
+                    for activity in self._instantaneous
+                    if activity.enabled(self.marking)
+                ),
+                None,
+            )
             if fired is None:
-                return all_changed
-            changed = self._complete(fired)
-            all_changed |= changed
+                return changed
+            changed |= self._complete(fired)
             if self._stopped_by_predicate:
-                return all_changed
-            candidates |= self._affected_instantaneous(changed)
+                return changed
         raise SANExecutionError(
             f"model {self.model.name!r}: more than {MAX_INSTANTANEOUS_CHAIN} "
             "consecutive instantaneous firings -- unstable (vanishing) loop?"
         )
 
-    # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
     def _complete(self, activity: Activity) -> Set[str]:
+        """Apply one completion; returns the names of the changed places."""
         marking = self.marking
-        if len(activity.cases) == 1:
-            case = activity.cases[0]
-        else:
-            rng = self._case_rngs.get(activity.name)
-            if rng is None:
-                rng = self.sim.random.stream(f"san.case.{activity.name}")
-                self._case_rngs[activity.name] = rng
-            case = activity.choose_case(marking, rng)
-        activity.complete(marking, case)
+        rng = self.sim.random.stream(f"san.case.{activity.name}")
+        activity.complete(marking, activity.choose_case(marking, rng))
         changed = marking.consume_changes()
         self._completions += 1
         now = self.sim.now
@@ -524,3 +291,37 @@ class SANExecutor:
         if self._stop_predicate is not None and self._stop_predicate(marking):
             self._stopped_by_predicate = True
         return changed
+
+
+def run_replication(solver: SimulativeSolver, index: int) -> ReplicationResult:
+    """Replication ``index`` of ``solver``'s configuration, run by the oracle.
+
+    Uses the solver's model, rewards, initial marking, stop predicate,
+    horizon, derived seed and trace setting, so the result must equal
+    ``solver.run_replication(index)`` exactly.
+    """
+    model = solver._model()
+    rewards = list(solver.reward_factory())
+    recorder = _ActivityTraceRecorder() if solver.collect_traces else None
+    observers: List[RewardVariable] = list(rewards)
+    if recorder is not None:
+        observers.append(recorder)
+    initial = (
+        solver.initial_marking_factory(model)
+        if solver.initial_marking_factory is not None
+        else None
+    )
+    executor = SANExecutor(
+        model,
+        Simulator(seed=solver._replication_seed(index)),
+        observers,
+        initial_marking=initial,
+    )
+    outcome = executor.run(until=solver.max_time, stop_predicate=solver.stop_predicate)
+    return ReplicationResult(
+        replication=index,
+        end_time=outcome.end_time,
+        stopped_by_predicate=outcome.stopped_by_predicate,
+        rewards={reward.name: reward.value() for reward in rewards},
+        trace=recorder.completions if recorder is not None else None,
+    )

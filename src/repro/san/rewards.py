@@ -24,7 +24,7 @@ MarkingRate = Callable[[Marking], float]
 
 
 class RewardVariable:
-    """Base class: observers notified by the :class:`~repro.san.executor.SANExecutor`."""
+    """Base class: observers notified of every completion by the SAN executors."""
 
     name: str = "reward"
 

@@ -7,18 +7,22 @@ independent replications, reporting the mean of each reward variable with a
 Student-t confidence interval, and optionally running until a relative
 precision target is met.
 
+Replications run lock-step in batches through
+:class:`~repro.san.batched.BatchedSANExecutor`, the only production
+executor; :meth:`SimulativeSolver.run_replication` is a batch of one.
+
 Determinism contract
 --------------------
 Every replication is a pure function of ``(seed, replication index)``:
-replication seeds come from :meth:`SimulativeSolver.point_seed`, and all
-randomness inside a replication flows through the simulator's *named*
-random streams, whose draw order is fixed by the model structure.  Any
-executor (scalar :class:`~repro.san.executor.SANExecutor`, lock-step
-:class:`~repro.san.batched.BatchedSANExecutor`) must preserve that
-per-replication stream/draw order -- the strategy knob changes
-throughput, never results.  Observers attached through the
-reward-variable protocol (including the opt-in activity trace) must not
-draw from any stream.
+replication seeds come from the solver's seed derivation, and all
+randomness inside a replication flows through *named* random streams,
+whose draw order is fixed by the model structure.  The batched executor
+keeps that per-replication stream/draw order at any batch size, so each
+replication is bit-identical to a run of the
+:class:`~repro.san.executor.SANExecutor` test oracle -- batch size and
+``jobs`` change throughput, never results.  Observers attached through
+the reward-variable protocol (including the opt-in activity trace) must
+not draw from any stream.
 """
 
 from __future__ import annotations
@@ -41,11 +45,9 @@ from typing import (
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-from repro.des.simulator import Simulator
 from repro.san import execution
-from repro.san.batched import BatchedSANExecutor
+from repro.san.batched import BatchedSANExecutor, MarkingPredicate
 from repro.san.compiled import DURATION_GENERIC, compile_model
-from repro.san.executor import SANExecutor
 from repro.san.marking import Marking
 from repro.san.model import SANModel
 from repro.san.rewards import RewardVariable
@@ -54,7 +56,6 @@ from repro.stats.descriptive import ConfidenceInterval, confidence_interval
 
 ModelFactory = Callable[[], SANModel]
 RewardFactory = Callable[[], Sequence[RewardVariable]]
-MarkingPredicate = Callable[[Marking], bool]
 
 #: Cell budget of :func:`auto_batch_size`.  The lock-step executor's
 #: per-round working set is roughly ``batch x (places + activities)``
@@ -226,10 +227,11 @@ class SimulativeSolver:
     Parameters
     ----------
     model_factory:
-        Callable building a fresh model for each replication.  (Models are
-        cheap to build and rebuilding avoids any state leakage between
-        replications; a prebuilt model may also be passed via a lambda if it
-        is genuinely stateless.)
+        Callable building a fresh model for each lock-step batch; the rows
+        of one batch share it.  (Models are cheap to build and rebuilding
+        avoids any state leakage between batches; a prebuilt model may
+        also be passed via a lambda if it is genuinely stateless.  A model
+        with stateful gate closures is only safe at ``batch_size=1``.)
     reward_factory:
         Callable building fresh reward variables for each replication.
     stop_predicate:
@@ -243,14 +245,10 @@ class SimulativeSolver:
         it, so results are reproducible and replications are independent.
     confidence:
         Confidence level for the reported intervals (paper: 0.90).
-    batched_executor_class:
-        The executor used by ``solve(..., strategy="batched")``: a class
-        with :class:`~repro.san.batched.BatchedSANExecutor`'s ``for_batch``
-        / ``run_batch`` interface, swappable like ``executor_class``.
     reuse_model:
         Build the model once (per process) and execute every replication
         against the same instance instead of calling ``model_factory`` per
-        replication.  The executor never mutates the model (it copies the
+        batch.  The executor never mutates the model (it copies the
         initial marking and keeps all run state on itself), so this is
         bit-identical for any factory whose models are *stateless*: no
         mutable state captured in gate closures or marking-dependent
@@ -265,10 +263,8 @@ class SimulativeSolver:
         :attr:`ReplicationResult.trace`.  Tracing observes the reward
         notification stream only -- it consumes no randomness -- so the
         reward values stay bit-identical with tracing on or off.  The
-        lock-step batched executor does not emit per-replication traces,
-        so a tracing solver **falls back to the scalar strategy**
-        (``solve(strategy="batched")`` and :meth:`run_batch` both run
-        scalar, seed-per-seed identical as always).
+        recorder rides each batch row's observers, so traced solves stay
+        batched.
     """
 
     def __init__(
@@ -281,8 +277,6 @@ class SimulativeSolver:
         confidence: float = 0.90,
         initial_marking_factory: Optional[Callable[[SANModel], Marking]] = None,
         reuse_model: bool = False,
-        executor_class: type = SANExecutor,
-        batched_executor_class: Optional[type] = None,
         collect_traces: bool = False,
     ) -> None:
         self.model_factory = model_factory
@@ -293,12 +287,6 @@ class SimulativeSolver:
         self.confidence = confidence
         self.initial_marking_factory = initial_marking_factory
         self.reuse_model = reuse_model
-        #: The executor implementation (swappable so tests and benchmarks
-        #: can run the reference executor through the same solver).
-        self.executor_class = executor_class
-        if batched_executor_class is None:
-            batched_executor_class = BatchedSANExecutor
-        self.batched_executor_class = batched_executor_class
         self.collect_traces = collect_traces
         self._cached_model: Optional[SANModel] = None
 
@@ -319,31 +307,8 @@ class SimulativeSolver:
         return self._cached_model
 
     def run_replication(self, index: int) -> ReplicationResult:
-        """Run a single replication with its own derived seed."""
-        return self._run_with_seed(index, self._replication_seed(index))
-
-    def _run_with_seed(self, index: int, seed: int) -> ReplicationResult:
-        sim = Simulator(seed=seed)
-        model = self._model()
-        rewards = list(self.reward_factory())
-        recorder = _ActivityTraceRecorder() if self.collect_traces else None
-        observers: List[RewardVariable] = list(rewards)
-        if recorder is not None:
-            observers.append(recorder)
-        initial = (
-            self.initial_marking_factory(model)
-            if self.initial_marking_factory is not None
-            else None
-        )
-        executor = self.executor_class(model, sim, observers, initial_marking=initial)
-        outcome = executor.run(until=self.max_time, stop_predicate=self.stop_predicate)
-        return ReplicationResult(
-            replication=index,
-            end_time=outcome.end_time,
-            stopped_by_predicate=outcome.stopped_by_predicate,
-            rewards={reward.name: reward.value() for reward in rewards},
-            trace=recorder.completions if recorder is not None else None,
-        )
+        """Run a single replication with its own derived seed (a batch of one)."""
+        return self.run_batch([index])[0]
 
     def solve(
         self,
@@ -354,7 +319,6 @@ class SimulativeSolver:
         max_replications: int = 10_000,
         jobs: Optional[int] = 1,
         precision_batch: int = 10,
-        strategy: Optional[str] = None,
         batch_size: Optional[Union[int, str]] = None,
     ) -> SolverResult:
         """Run replications and aggregate the rewards.
@@ -384,44 +348,28 @@ class SimulativeSolver:
             Replications per precision-loop chunk.  The stopping rule is
             evaluated at chunk boundaries only, so the replication count is
             a function of the seed and this value, never of ``jobs``.
-        strategy:
-            ``"scalar"`` loops replications through ``executor_class``;
-            ``"batched"`` hands whole chunks of the replication plan to
-            ``batched_executor_class``, which advances them lock-step.
-            ``None`` (default) defers to the process execution policy
-            (:mod:`repro.san.execution`: the ``REPRO_SAN_STRATEGY``
-            environment variable, else ``"scalar"``).  Replication ``i``
-            uses the same derived seed and named streams under both
-            strategies, so the results are bit-identical -- the strategy
-            only changes throughput.
         batch_size:
-            Replications per lock-step batch under ``strategy="batched"``:
-            a positive count or ``"auto"`` for the compiled-model-size
-            heuristic (:func:`auto_batch_size`).  ``None`` (default)
-            defers to the process execution policy (``REPRO_SAN_BATCH_SIZE``,
-            else ``"auto"``).  Like ``jobs``, the value never changes
-            results.
+            Replications per lock-step batch: a positive count or
+            ``"auto"`` for the compiled-model-size heuristic
+            (:func:`auto_batch_size`).  ``None`` (default) defers to the
+            process execution policy (:mod:`repro.san.execution`: the
+            ``REPRO_SAN_BATCH_SIZE`` environment variable, else
+            ``"auto"``).  Like ``jobs``, the value never changes results.
         """
-        strategy = execution.resolve_strategy(strategy)
-        batch_size = execution.resolve_batch_size(batch_size)
-        if self.collect_traces and strategy == "batched":
-            # The lock-step executor has no per-replication completion
-            # stream; tracing solvers fall back to the (bit-identical)
-            # scalar strategy -- documented on ``collect_traces``.
-            strategy = "scalar"
-        if strategy == "batched" and batch_size == execution.AUTO_BATCH_SIZE:
-            # Resolve the heuristic once per solve (not per precision-loop
-            # chunk): it compiles a model to measure the structure.
-            batch_size = auto_batch_size(self._model())
+        if replications < 0:
+            raise ValueError(f"replications must be >= 0, got {replications}")
+        resolved = execution.resolve_batch_size(batch_size)
+        # Resolve the heuristic once per solve (not per precision-loop
+        # chunk): it compiles a model to measure the structure.
+        size = (
+            auto_batch_size(self._model())
+            if resolved == execution.AUTO_BATCH_SIZE
+            else int(resolved)
+        )
         result = SolverResult(confidence=self.confidence)
         if target_reward is None or relative_precision is None:
             result.replications.extend(
-                self._run_indices(
-                    range(replications),
-                    jobs,
-                    strategy=strategy,
-                    batch_size=batch_size,
-                )
+                self._run_indices(range(replications), jobs, size)
             )
             return result
 
@@ -440,11 +388,7 @@ class SimulativeSolver:
                 chunk = min(chunk, max_replications - index)
                 result.replications.extend(
                     self._run_indices(
-                        range(index, index + chunk),
-                        jobs,
-                        pool=pool,
-                        strategy=strategy,
-                        batch_size=batch_size,
+                        range(index, index + chunk), jobs, size, pool=pool
                     )
                 )
                 index += chunk
@@ -500,66 +444,22 @@ class SimulativeSolver:
         self,
         indices: Iterable[int],
         jobs: Optional[int],
+        batch_size: int,
         pool: Optional[ProcessPoolExecutor] = None,
-        strategy: str = "scalar",
-        batch_size: Optional[Union[int, str]] = None,
     ) -> List[ReplicationResult]:
-        """Run the given replication indices, serially or on a worker pool.
-
-        The parallel path rides on the experiment sweep engine
-        (:class:`~repro.experiments.runner.ReplicationPlan`), inheriting
-        its ordered streaming aggregation; the per-replication seeds are
-        identical to the serial path's, so ``jobs`` never changes results.
-        Under ``strategy="batched"`` the plan's unit of work is a whole
-        batch of replications (one lock-step executor per batch) instead
-        of a single one -- per-replication seeds are unchanged, so the
-        strategy never changes results either.
-        """
-        indices = list(indices)
-        if strategy == "batched":
-            return self._run_indices_batched(indices, jobs, pool, batch_size)
-        if pool is None and (jobs == 1 or len(indices) <= 1):
-            return [self.run_replication(index) for index in indices]
-        # Imported lazily: repro.experiments pulls in modules that themselves
-        # import this one.
-        from repro.experiments.runner import ReplicationPlan, SweepPoint, iter_plan
-
-        points = tuple(
-            SweepPoint.make(
-                _replication_job,
-                kwargs={"solver": self, "index": index},
-                indices=(index,),
-                label=f"replication {index}",
-            )
-            for index in indices
-        )
-        plan = ReplicationPlan(
-            settings=_ReplicationSeeds(self.seed), points=points, name="san-solver"
-        )
-        return [
-            result for _point, result in iter_plan(plan, jobs=jobs, pool=pool)
-        ]
-
-    def _run_indices_batched(
-        self,
-        indices: List[int],
-        jobs: Optional[int],
-        pool: Optional[ProcessPoolExecutor] = None,
-        batch_size: Optional[Union[int, str]] = None,
-    ) -> List[ReplicationResult]:
-        """Run replication indices in lock-step batches.
+        """Run replication indices in lock-step batches of ``batch_size``.
 
         Each batch is one :meth:`run_batch` call; the serial path runs the
-        batches in-process, the parallel path makes each batch one sweep
-        point and hands workers whole *groups* of consecutive batches per
-        submission (amortising submission overhead while keeping cache
-        and timing bookkeeping batch-granular).  Results are aggregated
-        in replication order either way.
+        batches in-process.  The parallel path rides on the experiment
+        sweep engine (:class:`~repro.experiments.runner.ReplicationPlan`):
+        each batch is one sweep point, and workers get whole *groups* of
+        consecutive batches per submission (amortising submission overhead
+        while keeping cache and timing bookkeeping batch-granular).
+        Results are aggregated in replication order either way, and the
+        per-replication seeds never depend on the path, so neither
+        ``jobs`` nor the batch size changes results.
         """
-        if batch_size is None or batch_size == execution.AUTO_BATCH_SIZE:
-            batch_size = auto_batch_size(self._model())
-        if not isinstance(batch_size, int) or batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+        indices = list(indices)
         batches = [
             tuple(indices[start : start + batch_size])
             for start in range(0, len(indices), batch_size)
@@ -568,6 +468,8 @@ class SimulativeSolver:
             return [
                 result for batch in batches for result in self.run_batch(batch)
             ]
+        # Imported lazily: repro.experiments pulls in modules that themselves
+        # import this one.
         from repro.experiments.runner import (
             ReplicationPlan,
             SweepPoint,
@@ -577,7 +479,7 @@ class SimulativeSolver:
 
         points = tuple(
             SweepPoint.make(
-                _batched_replication_job,
+                _batch_job,
                 kwargs={"solver": self, "indices": batch},
                 indices=(batch[0],),
                 label=f"replications {batch[0]}..{batch[-1]}",
@@ -608,24 +510,31 @@ class SimulativeSolver:
 
         Every replication keeps its own derived seed, named streams and
         reward variables, so each entry of the returned list is
-        bit-identical to :meth:`run_replication` of the same index.
-        Under ``collect_traces=True`` the batch falls back to scalar
-        per-replication runs (same seeds, same results, traces attached).
+        bit-identical to :meth:`run_replication` of the same index -- and
+        to the :class:`~repro.san.executor.SANExecutor` oracle.  Under
+        ``collect_traces=True`` each row also carries an activity trace
+        recorder, so the entries come with their traces.
         """
         indices = list(indices)
-        if self.collect_traces:
-            return [self.run_replication(index) for index in indices]
         model = self._model()
         rewards_rows = [list(self.reward_factory()) for _ in indices]
+        recorders = [
+            _ActivityTraceRecorder() if self.collect_traces else None
+            for _ in indices
+        ]
+        observers_rows: List[List[RewardVariable]] = [
+            rewards if recorder is None else [*rewards, recorder]
+            for rewards, recorder in zip(rewards_rows, recorders, strict=True)
+        ]
         initial_markings = None
         if self.initial_marking_factory is not None:
             initial_markings = [
                 self.initial_marking_factory(model) for _ in indices
             ]
-        executor = self.batched_executor_class.for_batch(
+        executor = BatchedSANExecutor.for_batch(
             model,
             [self._replication_seed(index) for index in indices],
-            rewards_rows,
+            observers_rows,
             initial_markings=initial_markings,
         )
         outcomes = executor.run_batch(
@@ -637,9 +546,10 @@ class SimulativeSolver:
                 end_time=outcome.end_time,
                 stopped_by_predicate=outcome.stopped_by_predicate,
                 rewards={reward.name: reward.value() for reward in rewards},
+                trace=recorder.completions if recorder is not None else None,
             )
-            for index, outcome, rewards in zip(
-                indices, outcomes, rewards_rows, strict=True
+            for index, outcome, rewards, recorder in zip(
+                indices, outcomes, rewards_rows, recorders, strict=True
             )
         ]
 
@@ -664,14 +574,7 @@ class _ReplicationSeeds:
         return (self.seed * 1_000_003 + index * 7_919 + 1) % (2**63)
 
 
-def _replication_job(
-    solver: SimulativeSolver, index: int, point_seed: int
-) -> ReplicationResult:
-    """Run one replication in a worker process (module-level, picklable)."""
-    return solver._run_with_seed(index, point_seed)
-
-
-def _batched_replication_job(
+def _batch_job(
     solver: SimulativeSolver, indices: Sequence[int], point_seed: int
 ) -> List[ReplicationResult]:
     """Run one lock-step batch in a worker process (module-level, picklable).

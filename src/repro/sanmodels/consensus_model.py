@@ -252,19 +252,12 @@ class ConsensusSANExperiment:
         end at the first decision).
     confidence:
         Confidence level of the reported interval (the paper uses 0.90).
-    strategy:
-        Executor strategy of the simulative solver: ``"scalar"`` loops the
-        replications, ``"batched"`` advances them lock-step
-        (:class:`~repro.san.batched.BatchedSANExecutor`), ``None``
-        (default) defers to the process execution policy
-        (:mod:`repro.san.execution`).  Replication seeds and named
-        streams are identical under both, so the results are
-        bit-identical -- the strategy only changes throughput.
     batch_size:
-        Replications per lock-step batch under the batched strategy: a
-        count, ``"auto"`` (sized from the compiled model), or ``None``
-        (default) to defer to the process execution policy.  Never
-        changes results.
+        Replications per lock-step batch of the simulative solver
+        (:class:`~repro.san.batched.BatchedSANExecutor`): a count,
+        ``"auto"`` (sized from the compiled model), or ``None`` (default)
+        to defer to the process execution policy
+        (:mod:`repro.san.execution`).  Never changes results.
     """
 
     def __init__(
@@ -276,7 +269,6 @@ class ConsensusSANExperiment:
         seed: int = 0,
         max_time_ms: float = 10_000.0,
         confidence: float = 0.90,
-        strategy: Optional[str] = None,
         batch_size: Optional[Union[int, str]] = None,
     ) -> None:
         self.n_processes = n_processes
@@ -286,7 +278,6 @@ class ConsensusSANExperiment:
         self.seed = seed
         self.max_time_ms = max_time_ms
         self.confidence = confidence
-        self.strategy = strategy
         self.batch_size = batch_size
 
     # ------------------------------------------------------------------
@@ -325,7 +316,6 @@ class ConsensusSANExperiment:
         min_replications: int = 20,
         max_replications: int = 5_000,
         jobs: Optional[int] = 1,
-        strategy: Optional[str] = None,
         batch_size: Optional[Union[int, str]] = None,
     ) -> SANLatencyResult:
         """Run the experiment and return latency statistics.
@@ -334,22 +324,18 @@ class ConsensusSANExperiment:
         confidence interval of the mean latency is that tight (relative to
         the mean) or ``max_replications`` is reached.  ``jobs > 1`` fans
         the replications out over worker processes with bit-identical
-        results (see :meth:`SimulativeSolver.solve`).  ``strategy`` and
-        ``batch_size`` override the experiment's configured values for
-        this run (``None`` falls back to the experiment's, then to the
-        process execution policy); like ``jobs``, they never change
-        results.
+        results (see :meth:`SimulativeSolver.solve`).  ``batch_size``
+        overrides the experiment's configured value for this run (``None``
+        falls back to the experiment's, then to the process execution
+        policy); like ``jobs``, it never changes results.
         """
         solver = self.solver()
-        if strategy is None:
-            strategy = self.strategy
         if batch_size is None:
             batch_size = self.batch_size
         if relative_precision is None:
             result = solver.solve(
                 replications=replications,
                 jobs=jobs,
-                strategy=strategy,
                 batch_size=batch_size,
             )
         else:
@@ -360,7 +346,6 @@ class ConsensusSANExperiment:
                 min_replications=min_replications,
                 max_replications=max_replications,
                 jobs=jobs,
-                strategy=strategy,
                 batch_size=batch_size,
             )
         latencies = result.values("latency")

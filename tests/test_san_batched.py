@@ -1,11 +1,11 @@
 """Tests of the lock-step batched executor (:mod:`repro.san.batched`).
 
 The batched draw-order contract: every row of a batch is bit-identical
-to the scalar executor run with the same seed, at any batch size.  These
-tests pin that three ways -- the golden trace at ``B=1``, per-row
-equality with the scalar replication loop at ``B>1``, and end-to-end
-equality of ``solve(strategy="batched")`` with the scalar solver --
-plus the termination semantics (horizon, dead marking, initial stop).
+to the ``SANExecutor`` test oracle run with the same seed, at any batch
+size.  These tests pin that three ways -- the golden trace and calendar
+order at ``B=1``, per-row equality with the oracle at ``B>1``, and
+end-to-end equality of ``solve()`` with the oracle -- plus the
+termination semantics (horizon, dead marking, initial stop).
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ from repro.san import (
     Case,
     Marking,
     Place,
-    SANExecutor,
     SANModel,
     TimedActivity,
 )
-from repro.san.executor import SANExecutionError
+from repro.san.executor import SANExecutionError, SANExecutor, run_replication
 from repro.san.solver import SimulativeSolver
 from repro.sanmodels import ConsensusSANExperiment
 from repro.stats.distributions import Constant, Exponential
 from tests.test_san_golden_trace import (
     GOLDEN_CONSENSUS_COMPLETIONS,
     GOLDEN_CONSENSUS_LATENCY,
+    GOLDEN_EVENT_ORDER,
     GOLDEN_HORIZON,
     GOLDEN_SEED,
     GOLDEN_TRACE,
@@ -40,7 +40,7 @@ from tests.test_san_golden_trace import (
 
 
 # ----------------------------------------------------------------------
-# Validation way 1: bit-identical at B=1 against the scalar golden traces
+# Validation way 1: bit-identical at B=1 against the golden traces
 # ----------------------------------------------------------------------
 def test_batched_executor_reproduces_golden_trace_at_batch_one():
     recorder, outcome = run_golden_trace(BatchedSANExecutor)
@@ -52,6 +52,28 @@ def test_batched_executor_reproduces_golden_trace_at_batch_one():
     ]
 
 
+def test_batched_event_order_matches_golden_event_order():
+    # The oracle's DES calendar order, one layer below the trace: the
+    # batched executor must assign the same per-row sequence numbers
+    # (its tie-break between same-instant completions) to the same timed
+    # completions.
+    executor = BatchedSANExecutor(
+        build_golden_model(), Simulator(seed=GOLDEN_SEED), rewards=[TraceRecorder()]
+    )
+    fired = []
+    complete = executor._complete
+
+    def spy(row, activity):
+        if activity.timed:
+            seq = int(executor._seqs[row.index, activity.index])
+            fired.append((row.now, 0, seq, "_complete_timed", activity.name))
+        return complete(row, activity)
+
+    executor._complete = spy
+    executor.run(until=GOLDEN_HORIZON)
+    assert fired == GOLDEN_EVENT_ORDER
+
+
 def test_batched_consensus_replication_zero_snapshot():
     solver = ConsensusSANExperiment(n_processes=3, seed=1).solver()
     replication = solver.run_batch([0])[0]
@@ -61,27 +83,28 @@ def test_batched_consensus_replication_zero_snapshot():
 
 
 def test_batched_golden_final_marking_matches_scalar():
-    _recorder, scalar = run_golden_trace(SANExecutor)
+    _recorder, oracle = run_golden_trace(SANExecutor)
     _recorder, batched = run_golden_trace(BatchedSANExecutor)
-    assert batched.end_time == scalar.end_time
-    assert batched.final_marking == scalar.final_marking
-    assert batched.dead_marking == scalar.dead_marking
-    assert batched.stopped_by_predicate == scalar.stopped_by_predicate
+    assert batched.end_time == oracle.end_time
+    assert batched.final_marking == oracle.final_marking
+    assert batched.dead_marking == oracle.dead_marking
+    assert batched.stopped_by_predicate == oracle.stopped_by_predicate
 
 
 # ----------------------------------------------------------------------
-# Validation way 2: per-row bit-identity with scalar at B>1
+# Validation way 2: per-row bit-identity with the oracle at B>1
 # ----------------------------------------------------------------------
 def test_batch_rows_are_bit_identical_to_scalar_replications():
     experiment = ConsensusSANExperiment(n_processes=3, seed=11)
     solver = experiment.solver()
     batch = solver.run_batch(range(10))
     for index, row in enumerate(batch):
-        scalar = solver.run_replication(index)
-        assert row.replication == scalar.replication == index
-        assert row.rewards == scalar.rewards, index
-        assert row.end_time == scalar.end_time, index
-        assert row.stopped_by_predicate == scalar.stopped_by_predicate, index
+        oracle = run_replication(solver, index)
+        assert row == solver.run_replication(index)
+        assert row.replication == oracle.replication == index
+        assert row.rewards == oracle.rewards, index
+        assert row.end_time == oracle.end_time, index
+        assert row.stopped_by_predicate == oracle.stopped_by_predicate, index
 
 
 def test_golden_batch_shares_no_state_across_rows():
@@ -104,26 +127,30 @@ def test_golden_batch_shares_no_state_across_rows():
 
 
 # ----------------------------------------------------------------------
-# Solver threading: strategy="batched" never changes results
+# Solver threading: batching never changes results
 # ----------------------------------------------------------------------
+def _oracle_solve(solver, replications):
+    return [run_replication(solver, index) for index in range(replications)]
+
+
 def test_solver_strategy_batched_matches_scalar_fixed_count():
     experiment = ConsensusSANExperiment(n_processes=3, seed=3)
-    scalar = experiment.solver().solve(replications=25)
-    batched = experiment.solver().solve(replications=25, strategy="batched")
-    assert [r.rewards for r in scalar.replications] == [
+    oracle = _oracle_solve(experiment.solver(), 25)
+    batched = experiment.solver().solve(replications=25)
+    assert [r.rewards for r in oracle] == [
         r.rewards for r in batched.replications
     ]
-    assert [r.end_time for r in scalar.replications] == [
+    assert [r.end_time for r in oracle] == [
         r.end_time for r in batched.replications
     ]
 
 
 def test_solver_batch_size_never_changes_results():
     experiment = ConsensusSANExperiment(n_processes=3, seed=3)
-    reference = experiment.solver().solve(replications=13, strategy="batched")
+    reference = experiment.solver().solve(replications=13)
     for batch_size in (1, 4, 13, 64):
         other = experiment.solver().solve(
-            replications=13, strategy="batched", batch_size=batch_size
+            replications=13, batch_size=batch_size
         )
         assert [r.rewards for r in other.replications] == [
             r.rewards for r in reference.replications
@@ -133,19 +160,17 @@ def test_solver_batch_size_never_changes_results():
 def test_solver_batch_size_auto_and_jobs_never_change_results():
     # The acceptance matrix of the adaptive-batching PR: "auto" sizing and
     # pooled execution (several batches per worker group) both reproduce
-    # the serial scalar results bit-for-bit.
+    # the oracle's results bit-for-bit.
     experiment = ConsensusSANExperiment(n_processes=3, seed=3)
-    reference = experiment.solver().solve(replications=25)
+    reference = _oracle_solve(experiment.solver(), 25)
     for kwargs in (
         {"batch_size": "auto"},
         {"batch_size": "auto", "jobs": 2},
         {"batch_size": 4, "jobs": 2},  # 7 batches over 2 workers: grouped
     ):
-        other = experiment.solver().solve(
-            replications=25, strategy="batched", **kwargs
-        )
+        other = experiment.solver().solve(replications=25, **kwargs)
         assert [r.rewards for r in other.replications] == [
-            r.rewards for r in reference.replications
+            r.rewards for r in reference
         ], kwargs
 
 
@@ -170,44 +195,52 @@ def test_auto_batch_size_is_structural():
 def test_solver_precision_loop_matches_scalar_under_batched_strategy():
     experiment = ConsensusSANExperiment(n_processes=3, seed=5)
 
-    def solve(strategy):
+    def solve(batch_size):
         return experiment.solver().solve(
             target_reward="latency",
             relative_precision=0.25,
             min_replications=20,
             max_replications=120,
-            strategy=strategy,
+            batch_size=batch_size,
         )
 
-    scalar = solve("scalar")
-    batched = solve("batched")
-    assert scalar.n == batched.n
-    assert scalar.precision_achieved == batched.precision_achieved
-    assert [r.rewards for r in scalar.replications] == [
+    single = solve(1)
+    batched = solve("auto")
+    assert single.n == batched.n
+    assert single.precision_achieved == batched.precision_achieved
+    assert [r.rewards for r in single.replications] == [
+        r.rewards for r in batched.replications
+    ]
+    oracle = _oracle_solve(experiment.solver(), batched.n)
+    assert [r.rewards for r in oracle] == [
         r.rewards for r in batched.replications
     ]
 
 
 def test_solver_rejects_unknown_strategy():
+    # The executor is no longer selectable: the old knob is gone.
     solver = ConsensusSANExperiment(n_processes=3).solver()
-    with pytest.raises(ValueError, match="unknown strategy"):
-        solver.solve(replications=1, strategy="vectorized")
+    with pytest.raises(TypeError, match="strategy"):
+        solver.solve(replications=1, strategy="scalar")  # type: ignore[call-arg]
     with pytest.raises(ValueError, match="batch_size"):
-        solver.solve(replications=2, strategy="batched", batch_size=0)
+        solver.solve(replications=2, batch_size=0)
 
 
-def test_experiment_run_accepts_strategy():
-    batched_experiment = ConsensusSANExperiment(
-        n_processes=3, seed=9, strategy="batched"
-    )
-    scalar_experiment = ConsensusSANExperiment(n_processes=3, seed=9)
-    batched = batched_experiment.run(replications=15)
-    scalar = scalar_experiment.run(replications=15)
-    assert batched.latencies_ms == scalar.latencies_ms
-    assert batched.mean_ms == scalar.mean_ms
-    # Per-call override beats the configured strategy.
-    overridden = scalar_experiment.run(replications=15, strategy="batched")
-    assert overridden.latencies_ms == scalar.latencies_ms
+def test_solver_rejects_negative_replications():
+    solver = ConsensusSANExperiment(n_processes=3).solver()
+    with pytest.raises(ValueError, match="replications"):
+        solver.solve(replications=-3)
+    assert solver.solve(replications=0).n == 0
+
+
+def test_experiment_batch_size_never_changes_results():
+    configured = ConsensusSANExperiment(n_processes=3, seed=9, batch_size=4)
+    default = ConsensusSANExperiment(n_processes=3, seed=9)
+    reference = default.run(replications=15)
+    assert configured.run(replications=15).latencies_ms == reference.latencies_ms
+    # Per-call override beats the configured batch size.
+    overridden = default.run(replications=15, batch_size=1)
+    assert overridden.latencies_ms == reference.latencies_ms
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +266,7 @@ def test_batched_means_bracket_the_analytic_value_on_fd_pair():
         seed=42,
         confidence=0.95,
         reuse_model=True,
-    ).solve(replications=60, strategy="batched")
+    ).solve(replications=60)
     for reward_name in spec.reward_names:
         interval = sampled.interval(reward_name)
         assert interval.contains(exact.mean(reward_name)), reward_name
@@ -292,28 +325,28 @@ def test_stop_predicate_true_on_initial_marking():
 
 def test_batch_termination_matches_scalar_on_draining_model():
     for until in (None, 1.0, 1.5, 10.0):
-        scalar = SANExecutor(_draining_model(), Simulator(seed=0)).run(
+        oracle = SANExecutor(_draining_model(), Simulator(seed=0)).run(
             until=until
         )
         batched = BatchedSANExecutor(
             _draining_model(), Simulator(seed=0)
         ).run(until=until)
-        assert batched.end_time == scalar.end_time, until
-        assert batched.completions == scalar.completions, until
-        assert batched.dead_marking == scalar.dead_marking, until
-        assert batched.final_marking == scalar.final_marking, until
+        assert batched.end_time == oracle.end_time, until
+        assert batched.completions == oracle.completions, until
+        assert batched.dead_marking == oracle.dead_marking, until
+        assert batched.final_marking == oracle.final_marking, until
 
 
 def test_initial_marking_override_matches_scalar():
     initial = Marking({"fuel": 1, "bonus": 4})  # "bonus" is undeclared
-    scalar = SANExecutor(
+    oracle = SANExecutor(
         _draining_model(), Simulator(seed=0), initial_marking=initial.copy()
     ).run(until=10.0)
     batched = BatchedSANExecutor(
         _draining_model(), Simulator(seed=0), initial_marking=initial.copy()
     ).run(until=10.0)
-    assert batched.completions == scalar.completions == 1
-    assert batched.final_marking == scalar.final_marking
+    assert batched.completions == oracle.completions == 1
+    assert batched.final_marking == oracle.final_marking
     assert batched.final_marking["bonus"] == 4
 
 

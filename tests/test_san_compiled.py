@@ -82,7 +82,7 @@ def test_activity_ordering_contracts():
     model.add_activity(TimedActivity("t1", Exponential(1.0), input_arcs=["p"]))
     compiled = compile_model(model)
     # Timed: declaration order; instantaneous: rank-sorted with the
-    # declaration order breaking ties (the scalar firing precedence).
+    # declaration order breaking ties (the oracle's firing precedence).
     assert [a.name for a in compiled.timed] == ["t2", "t1"]
     assert [a.name for a in compiled.instantaneous] == ["early", "late", "tied"]
     assert [a.index for a in compiled.instantaneous] == [0, 1, 2]
@@ -175,7 +175,7 @@ def test_dependency_index_routes_gates_by_watch_list():
     # Empty watch list: conservative, re-evaluated after every completion.
     assert [a.name for a in compiled.global_timed] == ["conservative"]
     # Watched names outside the model go to the name-keyed side index
-    # (NOT the conservative list), exactly like the scalar executor.
+    # (NOT the conservative list).
     assert {
         name: [a.name for a in activities]
         for name, activities in compiled.timed_by_unknown.items()

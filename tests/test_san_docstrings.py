@@ -1,7 +1,7 @@
 """Docstring gate for the SAN execution core.
 
 The ruff ``D100``/``D101``/``D102``/``D103`` rules are scoped (via a
-negated per-file-ignore in ``ruff.toml``) to the four modules whose
+negated per-file-ignore in ``ruff.toml``) to the five modules whose
 public surface carries the determinism/draw-order contract.  This test
 mirrors that gate with a plain AST walk, so the obligation is enforced
 even where ruff is not installed, and additionally checks that the
@@ -20,7 +20,7 @@ import repro.san
 SAN_DIR = Path(repro.san.__file__).parent
 
 #: The SAN execution core: every public symbol must be documented.
-GATED_MODULES = ("solver", "execution", "compiled", "batched")
+GATED_MODULES = ("solver", "execution", "compiled", "batched", "executor")
 
 
 def _missing_docstrings(tree: ast.Module) -> list:

@@ -1,4 +1,12 @@
-"""Tests of the SAN execution semantics."""
+"""Tests of the SAN execution semantics.
+
+Every semantics test runs on both executors: the ``SANExecutor`` test
+oracle and the production ``BatchedSANExecutor`` (single-row form).
+:func:`_run` executes the same model on each, asserts that the two
+outcomes are identical and returns one of them, so each assertion below
+holds for both.  (A loop rather than ``pytest.mark.parametrize`` keeps
+the test ids stable.)
+"""
 
 from __future__ import annotations
 
@@ -6,6 +14,8 @@ import pytest
 
 from repro.des.simulator import Simulator
 from repro.san.activities import Case, InstantaneousActivity, TimedActivity
+from repro.san.batched import BatchedSANExecutor
+from repro.san.compiled import compile_model
 from repro.san.executor import SANExecutionError, SANExecutor
 from repro.san.gates import InputGate
 from repro.san.marking import Marking
@@ -14,9 +24,30 @@ from repro.san.places import Place
 from repro.san.rewards import FirstPassageTime
 from repro.stats.distributions import Constant, Exponential, Uniform
 
+EXECUTORS = (SANExecutor, BatchedSANExecutor)
 
-def _executor(model, seed=1, rewards=(), initial_marking=None):
-    return SANExecutor(model, Simulator(seed=seed), rewards=rewards, initial_marking=initial_marking)
+
+def _executors(model, seed=1, rewards=(), initial_marking=None):
+    """One fresh executor of each kind over ``model``."""
+    return [
+        executor_class(
+            model,
+            Simulator(seed=seed),
+            rewards=rewards,
+            initial_marking=initial_marking,
+        )
+        for executor_class in EXECUTORS
+    ]
+
+
+def _run(model, seed=1, rewards=(), initial_marking=None, **run_kwargs):
+    """Run ``model`` on both executors; the outcomes must be identical."""
+    oracle, batched = (
+        executor.run(**run_kwargs)
+        for executor in _executors(model, seed, rewards, initial_marking)
+    )
+    assert batched == oracle
+    return oracle
 
 
 def _pipeline_model() -> SANModel:
@@ -34,7 +65,7 @@ def _pipeline_model() -> SANModel:
 
 
 def test_timed_pipeline_fires_in_sequence():
-    outcome = _executor(_pipeline_model()).run()
+    outcome = _run(_pipeline_model())
     assert outcome.final_marking["c"] == 1
     assert outcome.end_time == pytest.approx(3.0)
     assert outcome.completions == 2
@@ -42,19 +73,19 @@ def test_timed_pipeline_fires_in_sequence():
 
 
 def test_stop_predicate_ends_the_replication_early():
-    outcome = _executor(_pipeline_model()).run(stop_predicate=lambda m: m["b"] >= 1)
+    outcome = _run(_pipeline_model(), stop_predicate=lambda m: m["b"] >= 1)
     assert outcome.stopped_by_predicate
     assert outcome.end_time == pytest.approx(1.0)
 
 
 def test_stop_predicate_true_initially_runs_nothing():
-    outcome = _executor(_pipeline_model()).run(stop_predicate=lambda m: m["a"] >= 1)
+    outcome = _run(_pipeline_model(), stop_predicate=lambda m: m["a"] >= 1)
     assert outcome.stopped_by_predicate
     assert outcome.completions == 0
 
 
 def test_time_horizon_truncates_the_run():
-    outcome = _executor(_pipeline_model()).run(until=1.5)
+    outcome = _run(_pipeline_model(), until=1.5)
     assert outcome.final_marking["b"] == 1
     assert outcome.final_marking["c"] == 0
 
@@ -70,7 +101,7 @@ def test_instantaneous_activities_fire_before_timed_ones():
     model.add_activity(
         TimedActivity("late", Constant(5.0), input_arcs=["a"], cases=[Case.build(output_arcs=["c"])])
     )
-    outcome = _executor(model).run()
+    outcome = _run(model)
     assert outcome.final_marking["b"] == 1
     assert outcome.final_marking["c"] == 0
     assert outcome.end_time == 0.0
@@ -87,7 +118,7 @@ def test_instantaneous_rank_orders_conflicting_activities():
     model.add_activity(
         InstantaneousActivity("sooner", input_arcs=["a"], cases=[Case.build(output_arcs=["low"])], rank=1)
     )
-    outcome = _executor(model).run()
+    outcome = _run(model)
     assert outcome.final_marking["low"] == 1
     assert outcome.final_marking["high"] == 0
 
@@ -118,7 +149,7 @@ def test_resource_contention_with_seize_release_idiom_serialises_work():
                 cases=[Case.build(output_arcs=[f"d{job}", "server"])],
             )
         )
-    outcome = _executor(model).run()
+    outcome = _run(model)
     assert outcome.final_marking["d1"] == 1
     assert outcome.final_marking["d2"] == 1
     assert outcome.end_time == pytest.approx(2.0)
@@ -136,7 +167,7 @@ def test_disabled_timed_activity_is_reactivated_not_fired():
     model.add_activity(
         TimedActivity("lazy", Constant(10.0), input_arcs=["token"], cases=[Case.build(output_arcs=["slow"])])
     )
-    outcome = _executor(model).run(until=50.0)
+    outcome = _run(model, until=50.0)
     assert outcome.final_marking["fast"] == 1
     assert outcome.final_marking["slow"] == 0
     assert outcome.completions == 1
@@ -158,7 +189,7 @@ def test_case_probabilities_split_tokens_between_outcomes():
             ],
         )
     )
-    outcome = _executor(model, seed=5).run()
+    outcome = _run(model, seed=5)
     assert outcome.final_marking["left"] + outcome.final_marking["right"] == 200
     assert outcome.final_marking["left"] > outcome.final_marking["right"]
 
@@ -185,7 +216,7 @@ def test_input_gate_with_watched_places_reacts_to_changes():
             cases=[Case.build(output_arcs=["done"])],
         )
     )
-    outcome = _executor(model, seed=3).run()
+    outcome = _run(model, seed=3)
     assert outcome.final_marking["done"] == 1
 
 
@@ -199,21 +230,23 @@ def test_unstable_instantaneous_loop_is_detected():
     model.add_activity(
         InstantaneousActivity("ba", input_arcs=["b"], cases=[Case.build(output_arcs=["a"])])
     )
-    with pytest.raises(SANExecutionError):
-        _executor(model).run()
+    for executor in _executors(model):
+        with pytest.raises(SANExecutionError):
+            executor.run()
 
 
 def test_initial_marking_override():
     model = _pipeline_model()
-    outcome = _executor(model, initial_marking=Marking({"a": 0, "b": 1})).run()
+    outcome = _run(model, initial_marking=Marking({"a": 0, "b": 1}))
     assert outcome.final_marking["c"] == 1
     assert outcome.end_time == pytest.approx(2.0)
 
 
 def test_rewards_observe_first_passage_time():
     reward = FirstPassageTime(lambda m: m["c"] >= 1, name="reach_c")
-    _executor(_pipeline_model(), rewards=[reward]).run()
-    assert reward.value() == pytest.approx(3.0)
+    for executor in _executors(_pipeline_model(), rewards=[reward]):
+        executor.run()
+        assert reward.value() == pytest.approx(3.0), type(executor).__name__
 
 
 def test_identical_seeds_reproduce_identical_trajectories():
@@ -231,13 +264,14 @@ def test_identical_seeds_reproduce_identical_trajectories():
         model.add_activity(
             TimedActivity("move", Exponential(1.0), input_arcs=["a"], cases=[Case.build(output_arcs=["b"])])
         )
-        end_times.add(_executor(model, seed=42).run().end_time)
+        end_times.add(_run(model, seed=42).end_time)
     assert len(end_times) == 1
 
 
 def test_batched_sampler_rejects_negative_durations():
     # Uniform with a negative support is a modeling bug; the batched
-    # duration path must catch it exactly like the scalar path does.
+    # executor's pre-drawing sampler must catch it exactly like the
+    # oracle's one-draw-per-call path does.
     model = SANModel("negative")
     model.add_place(Place("a", 1))
     model.add_place(Place("b", 0))
@@ -249,22 +283,28 @@ def test_batched_sampler_rejects_negative_durations():
             cases=[Case.build(output_arcs=["b"])],
         )
     )
-    with pytest.raises(ValueError, match="negative duration"):
-        _executor(model).run(until=10.0)
+    for executor in _executors(model):
+        with pytest.raises(ValueError, match="negative duration"):
+            executor.run(until=10.0)
 
 
 def test_model_structure_cache_invalidates_on_structural_change():
+    # The compiled model is the only dependency index; it is cached on the
+    # model and rebuilt when the structure changes.
     model = _pipeline_model()
-    first = _executor(model)
-    assert first._timed is SANExecutor._structure(model).timed
-    # Adding an activity bumps the version; a new executor sees it.
+    first = compile_model(model)
+    assert compile_model(model) is first
+    # Adding an activity bumps the version; the next compile sees it.
     model.add_place(Place("d", 0))
     model.add_activity(
         TimedActivity(
             "cd", Constant(1.0), input_arcs=["c"], cases=[Case.build(output_arcs=["d"])]
         )
     )
-    second = _executor(model)
-    names = {activity.name for activity in second._timed}
-    assert "cd" in names
-    assert second._timed is not first._timed
+    second = compile_model(model)
+    assert second is not first
+    assert "cd" in {activity.name for activity in second.timed}
+    assert [activity.name for activity in second.timed_by_place[second.place_index["c"]]] == ["cd"]
+    # Executors built after the change run the new structure.
+    outcome = _run(model)
+    assert outcome.final_marking["d"] == 1

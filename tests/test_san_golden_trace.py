@@ -10,6 +10,10 @@ refactor (and future ones) must not silently shift simulative results.
 The trace model exercises every semantic ingredient: an instantaneous
 activity with probabilistic cases, exponential / uniform / constant
 timed activities, chained firings at one instant and a shared token pool.
+
+The trajectories here run on the ``SANExecutor`` test oracle;
+``tests/test_san_batched.py`` holds the production
+``BatchedSANExecutor`` to the same literals at batch size 1.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ from repro.san import (
     InstantaneousActivity,
     Place,
     RewardVariable,
-    SANExecutor,
     SANModel,
     TimedActivity,
 )
+from repro.san.executor import SANExecutor, run_replication
 from repro.sanmodels import ConsensusSANExperiment
 from repro.stats.distributions import Constant, Exponential, Uniform
 
@@ -211,26 +215,12 @@ def test_golden_event_order_is_reproduced_exactly():
     assert fired == GOLDEN_EVENT_ORDER
 
 
-def test_reference_executor_reproduces_golden_trace():
-    # The unoptimized full-re-evaluation executor must walk the exact same
-    # trajectory: the dependency index, batched draws and cached model
-    # structures are pure optimizations, not semantic changes.
-    from repro.san.reference import ReferenceExecutor
-
-    recorder, outcome = run_golden_trace(ReferenceExecutor)
-    assert outcome.completions == len(GOLDEN_TRACE)
-    assert recorder.events == [
-        (activity, time, dict(sorted(marking.items())))
-        for activity, time, marking in GOLDEN_TRACE
-    ]
-
-
 def test_consensus_replication_zero_snapshot():
     solver = ConsensusSANExperiment(n_processes=3, seed=1).solver()
-    replication = solver.run_replication(0)
-    assert replication.stopped_by_predicate
-    assert replication.rewards["latency"] == GOLDEN_CONSENSUS_LATENCY
-    assert replication.rewards["completions"] == GOLDEN_CONSENSUS_COMPLETIONS
+    for replication in (solver.run_replication(0), run_replication(solver, 0)):
+        assert replication.stopped_by_predicate
+        assert replication.rewards["latency"] == GOLDEN_CONSENSUS_LATENCY
+        assert replication.rewards["completions"] == GOLDEN_CONSENSUS_COMPLETIONS
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "31337"])

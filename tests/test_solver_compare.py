@@ -51,8 +51,9 @@ def test_timings_are_recorded(smoke_result):
 
 
 def test_batched_leg_is_bit_identical_to_scalar(smoke_result):
-    # Scalar and batched legs share replication seeds: any difference is
-    # an executor-fidelity bug, not noise, so this is exact equality.
+    # The one-row-batch and auto-sized-batch legs share replication
+    # seeds: any difference is an executor-fidelity bug, not noise, so
+    # this is exact equality.
     for point in smoke_result.points.values():
         for comparison in point.rewards:
             assert comparison.batched_mean == comparison.simulative_mean

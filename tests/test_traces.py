@@ -341,13 +341,22 @@ def test_san_solver_traces_are_opt_in_and_reward_identical():
     assert times[-1] == pytest.approx(traced.end_time)
 
 
-def test_san_solver_tracing_falls_back_from_batched_to_scalar():
-    scalar = _san_solver(True).solve(replications=4, strategy="scalar")
-    batched = _san_solver(True).solve(replications=4, strategy="batched")
-    for first, second in zip(scalar.replications, batched.replications, strict=True):
-        assert first.rewards == second.rewards
-        assert first.trace == second.trace
-        assert first.trace is not None
+def test_san_solver_batched_traces_match_the_oracle():
+    # Traced solves stay batched: every row's completion stream equals the
+    # oracle's, and tracing leaves the rewards of an untraced run intact.
+    from repro.san.executor import run_replication
+
+    solver = _san_solver(True)
+    traced = solver.solve(replications=4)
+    untraced = _san_solver(False).solve(replications=4)
+    for index, (row, plain) in enumerate(
+        zip(traced.replications, untraced.replications, strict=True)
+    ):
+        oracle = run_replication(solver, index)
+        assert row.trace is not None and row.trace
+        assert row.trace == oracle.trace, index
+        assert row.rewards == oracle.rewards == plain.rewards, index
+        assert plain.trace is None
 
 
 def test_san_solver_run_batch_preserves_traces():
