@@ -105,7 +105,7 @@ class Host:
         """Occupy this host's CPU for ``duration`` ms, then call ``callback``."""
         if self.cpu_load is not None:
             duration *= float(self.cpu_load(self.sim.now))
-        self.cpu.request(duration, callback, *args, label=self.name)
+        self.cpu.request(duration, callback, *args)
 
     def sleep(
         self, requested_ms: float, callback: Callable[..., None], *args: object

@@ -40,42 +40,55 @@ class TraceRecord:
 
 
 class MessageTrace:
-    """Accumulates :class:`TraceRecord` entries during a run."""
+    """Accumulates :class:`TraceRecord` entries during a run.
+
+    Deliveries are stored as plain tuples, which are cheap to make on the
+    transport's hot path; each becomes a :class:`TraceRecord` the first time
+    the trace is read.
+    """
 
     def __init__(self) -> None:
         self._records: List[TraceRecord] = []
+        self._unread: List[tuple] = []
 
     # ------------------------------------------------------------------
     def record_delivery(self, message: Message) -> None:
         """Record a delivered message (called by the transport)."""
         if message.submitted_at is None or message.delivered_at is None:
             raise ValueError("cannot trace a message without timestamps")
-        self._records.append(
-            TraceRecord(
-                msg_id=message.msg_id,
-                parent_id=message.parent_id,
-                msg_type=message.msg_type,
-                sender=message.sender,
-                destination=message.destination,
-                size_bytes=message.size_bytes,
-                submitted_at=message.submitted_at,
-                delivered_at=message.delivered_at,
-                injected_duplicate=message.injected_duplicate,
+        self._unread.append(
+            (
+                message.msg_id,
+                message.parent_id,
+                message.msg_type,
+                message.sender,
+                message.destination,
+                message.size_bytes,
+                message.submitted_at,
+                message.delivered_at,
+                message.injected_duplicate,
             )
         )
 
     def clear(self) -> None:
         """Drop all records."""
         self._records.clear()
+        self._unread.clear()
+
+    def _all(self) -> List[TraceRecord]:
+        if self._unread:
+            self._records.extend(TraceRecord(*row) for row in self._unread)
+            self._unread.clear()
+        return self._records
 
     # ------------------------------------------------------------------
     @property
     def records(self) -> List[TraceRecord]:
         """All records, in delivery order."""
-        return list(self._records)
+        return list(self._all())
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) + len(self._unread)
 
     def filter(
         self,
@@ -86,7 +99,7 @@ class MessageTrace:
     ) -> List[TraceRecord]:
         """Records matching the given criteria (``None`` means "any")."""
         result = []
-        for record in self._records:
+        for record in self._all():
             if msg_type is not None and record.msg_type != msg_type:
                 continue
             if sender is not None and record.sender != sender:

@@ -26,7 +26,9 @@ participant-crash anomaly).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.des.simulator import Simulator
 from repro.cluster.config import ClusterConfig
@@ -45,6 +47,16 @@ DeliverCallback = Callable[[Message], None]
 #: its own, e.g. ``"loss"`` and ``"partition"``).
 CAUSE_SENDER_CRASHED = "sender-crashed"
 CAUSE_RECEIVER_CRASHED = "receiver-crashed"
+
+#: Doubles drawn from the ``transport.stack`` stream per numpy call; every
+#: unicast copy uses two of them.
+STACK_DRAW_BLOCK = 256
+
+
+def _block_draws(rng: np.random.Generator, size: int) -> Iterator[float]:
+    """The doubles of ``rng.random()``, drawn ``size`` at a time."""
+    while True:
+        yield from rng.random(size).tolist()
 
 
 class Transport:
@@ -99,7 +111,12 @@ class Transport:
         self.injector = injector
         self.collector = collector
         self._receivers: Dict[int, DeliverCallback] = {}
-        self._stack_rng = sim.random.stream("transport.stack")
+        # ``transport.stack`` has exactly one consumer, this transport, so
+        # drawing it in blocks yields the same doubles, in the same order,
+        # as drawing it one ``random()`` at a time.
+        self._stack_draw = _block_draws(
+            sim.random.stream("transport.stack"), STACK_DRAW_BLOCK
+        ).__next__
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -215,18 +232,18 @@ class Transport:
 
     # ------------------------------------------------------------------
     def _sample_stack_latency(self) -> float:
+        # One coin draw picks the mode, one uniform draw places the latency
+        # in it.  ``low + (high - low) * u`` is exactly what numpy's
+        # ``Generator.uniform`` computes from the same double ``u``.
         params = self.config.network
-        if self._stack_rng.random() < params.stack_slow_probability:
-            return float(
-                self._stack_rng.uniform(
-                    params.stack_latency_slow_low_ms, params.stack_latency_slow_high_ms
-                )
-            )
-        return float(
-            self._stack_rng.uniform(
-                params.stack_latency_fast_low_ms, params.stack_latency_fast_high_ms
-            )
-        )
+        draw = self._stack_draw
+        if draw() < params.stack_slow_probability:
+            low = params.stack_latency_slow_low_ms
+            high = params.stack_latency_slow_high_ms
+        else:
+            low = params.stack_latency_fast_low_ms
+            high = params.stack_latency_fast_high_ms
+        return low + (high - low) * draw()
 
     def __repr__(self) -> str:
         return (

@@ -84,6 +84,9 @@ class _InstanceState:
     # Participant-side buffered proposals, keyed by round.
     proposals: Dict[int, Any] = field(default_factory=dict)
     nacked_rounds: Set[int] = field(default_factory=set)
+    # False while the state exists only because a message of the instance
+    # arrived before this process's own propose().
+    proposed: bool = True
 
 
 class ChandraTouegConsensus(ProtocolLayer):
@@ -148,11 +151,22 @@ class ChandraTouegConsensus(ProtocolLayer):
             raise RuntimeError("consensus layer is not attached to a process")
         if self.process.crashed:
             return
-        if instance in self._instances:
+        state = self._instances.get(instance)
+        if state is None:
+            state = _InstanceState(instance=instance, estimate=value, estimate_ts=0)
+            self._instances[instance] = state
+            self._active_instances.add(instance)
+        elif state.proposed:
             raise ValueError(f"instance {instance} was already proposed")
-        state = _InstanceState(instance=instance, estimate=value, estimate_ts=0)
-        self._instances[instance] = state
-        self._active_instances.add(instance)
+        else:
+            # Joined lazily on an earlier message.  Until it leaves round 1
+            # (or decides) the process has sent no estimate yet, so it starts
+            # round 1 now with its own value; otherwise it already takes
+            # part in a later round and the proposal only marks it proposed.
+            state.proposed = True
+            if state.decided or state.round_number > 1:
+                return
+            state.estimate = value
         self._start_round(state)
 
     # ------------------------------------------------------------------
@@ -363,7 +377,9 @@ class ChandraTouegConsensus(ProtocolLayer):
             # create the state lazily with the message value as estimate so
             # that late starters still participate (does not happen in the
             # paper's experiments, where all processes propose at t0).
-            state = _InstanceState(instance=instance, estimate=payload.get("value"))
+            state = _InstanceState(
+                instance=instance, estimate=payload.get("value"), proposed=False
+            )
             self._instances[instance] = state
             self._active_instances.add(instance)
             state.phase = "wait_proposal"

@@ -11,7 +11,7 @@ service time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional
 
 from repro.des.simulator import Simulator
@@ -40,17 +40,26 @@ class ResourceStats:
         return min(1.0, self.busy_time / (elapsed * capacity))
 
 
-@dataclass
 class Request:
     """A single pending or in-service request on a :class:`Resource`."""
 
-    service_time: float
-    callback: Callable[..., Any]
-    args: tuple[Any, ...]
-    submitted_at: float
-    started_at: Optional[float] = None
-    label: str = ""
-    cancelled: bool = field(default=False)
+    __slots__ = (
+        "service_time", "callback", "args", "submitted_at", "started_at", "cancelled"
+    )
+
+    def __init__(
+        self,
+        service_time: float,
+        callback: Callable[..., Any],
+        args: tuple[Any, ...],
+        submitted_at: float,
+    ) -> None:
+        self.service_time = service_time
+        self.callback = callback
+        self.args = args
+        self.submitted_at = submitted_at
+        self.started_at: Optional[float] = None
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Cancel the request if it has not started service yet.
@@ -61,6 +70,13 @@ class Request:
         """
         if self.started_at is None:
             self.cancelled = True
+
+    def __repr__(self) -> str:
+        return (
+            f"Request(service_time={self.service_time!r}, "
+            f"submitted_at={self.submitted_at!r}, started_at={self.started_at!r}, "
+            f"cancelled={self.cancelled})"
+        )
 
 
 class Resource:
@@ -108,7 +124,6 @@ class Resource:
         service_time: float,
         callback: Callable[..., Any],
         *args: Any,
-        label: str = "",
     ) -> Request:
         """Queue a request for ``service_time`` units of this resource.
 
@@ -118,17 +133,29 @@ class Resource:
         """
         if service_time < 0:
             raise ValueError(f"service_time must be >= 0, got {service_time}")
-        request = Request(
-            service_time=float(service_time),
-            callback=callback,
-            args=args,
-            submitted_at=self.sim.now,
-            label=label,
-        )
-        self.stats.requests += 1
-        self._queue.append(request)
-        self.stats.max_queue_length = max(self.stats.max_queue_length, len(self._queue))
-        self._dispatch()
+        now = self.sim.now
+        request = Request(float(service_time), callback, args, now)
+        stats = self.stats
+        stats.requests += 1
+        queue = self._queue
+        if not queue and self._in_service < self.capacity:
+            # Idle resource, nothing queued: start service directly.  This is
+            # the same single calendar entry the queued path schedules, so
+            # sequence numbers do not move; the request counts as having
+            # been queued (length 1) for zero time.
+            if stats.max_queue_length < 1:
+                stats.max_queue_length = 1
+            request.started_at = now
+            self._in_service += 1
+            self.sim.schedule(request.service_time, self._complete, request)
+            return request
+        queue.append(request)
+        if len(queue) > stats.max_queue_length:
+            stats.max_queue_length = len(queue)
+        if self._in_service < self.capacity:
+            # Only reachable from inside a completion callback, which runs
+            # after the finished request has released its unit.
+            self._dispatch()
         return request
 
     # ------------------------------------------------------------------
@@ -147,7 +174,8 @@ class Resource:
         self.stats.completed += 1
         self.stats.busy_time += request.service_time
         request.callback(*request.args)
-        self._dispatch()
+        if self._queue:
+            self._dispatch()
 
     def __repr__(self) -> str:
         return (

@@ -14,6 +14,20 @@ The heap holds ``(time, priority, seq, event)`` tuples rather than bare
 monotonically increasing sequence number).  Cancellation stays O(1): a
 cancelled event is only marked, and its heap entry is discarded lazily when
 it reaches the front of the queue.
+
+Contract of the fast paths
+--------------------------
+The hot path is kept lean without moving a single calendar entry.
+:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` hand their
+positional arguments straight to one push, with the past-time check and
+the ``(time, priority, seq, event)`` heap tuple described above.  A
+:class:`~repro.des.resource.Resource` that is idle with an empty queue
+starts a request directly, but still makes exactly one ``schedule`` call
+per service start, at the same moment the queued path would, so sequence
+numbers -- and with them the order of same-time events -- are unchanged.  A random stream may be drawn in blocks
+(``rng.random(k)``) only if it has exactly one consumer: that consumer then
+sees the same doubles in the same order as scalar draws, and nobody else
+can observe that the generator ran ahead.
 """
 
 from __future__ import annotations
@@ -54,6 +68,8 @@ class Simulator:
         self.time_unit = time_unit
         self.random = RandomStreams(seed)
         self._trace_hooks: list[Callable[[Event], None]] = []
+        # Bound once here rather than once per scheduled event.
+        self._on_cancel = self._note_cancelled
 
     # ------------------------------------------------------------------
     # Clock
@@ -89,7 +105,7 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self._push(self._now + delay, priority, callback, args)
 
     def schedule_at(
         self,
@@ -99,24 +115,13 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to run at absolute time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time} < now {self._now}"
-            )
-        event = Event(time, priority, self._seq, callback, args)
-        event.on_cancel = self._note_cancelled
-        self._seq += 1
-        heapq.heappush(
-            self._queue, (event.time, event.priority, event.seq, event)
-        )
-        self._live_events += 1
-        return event
+        return self._push(time, priority, callback, args)
 
     def call_now(
         self, callback: Callable[..., Any], *args: Any, priority: int = 0
     ) -> Event:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule_at(self._now, callback, *args, priority=priority)
+        return self._push(self._now, priority, callback, args)
 
     def cancel(self, event: Event) -> bool:
         """Cancel a previously scheduled event.  Returns ``True`` on success."""
@@ -252,6 +257,26 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _push(
+        self,
+        time: float,
+        priority: int,
+        callback: Callable[..., Any],
+        args: tuple[Any, ...],
+    ) -> Event:
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule event in the past: {time} < now {self._now}"
+            )
+        event = Event(time, priority, self._seq, callback, args)
+        event.on_cancel = self._on_cancel
+        self._seq += 1
+        heapq.heappush(
+            self._queue, (event.time, event.priority, event.seq, event)
+        )
+        self._live_events += 1
+        return event
+
     def _note_cancelled(self, _event: Event) -> None:
         self._live_events -= 1
 

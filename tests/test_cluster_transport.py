@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import transport as transport_module
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.cluster.message import BROADCAST, Message
+from repro.cluster.tracing import TraceRecord
 from repro.cluster.neko import ProtocolLayer
 
 
@@ -126,6 +128,27 @@ def test_trace_filters_and_delay_lists(cluster_config):
     assert len(cluster.trace.broadcast_delays_per_destination(msg_type="blast")) == 2
 
 
+def test_trace_reads_interleaved_with_deliveries_keep_delivery_order(cluster_config):
+    cluster = _cluster(cluster_config)
+    first = _send(cluster, 0, 1)
+    cluster.run(until=10.0)
+    assert len(cluster.trace) == 1
+    assert [record.msg_id for record in cluster.trace.records] == [first.msg_id]
+    second = _send(cluster, 2, 1, msg_type="late")
+    cluster.run(until=20.0)
+    assert len(cluster.trace) == 2
+    records = cluster.trace.records
+    assert [record.msg_id for record in records] == [first.msg_id, second.msg_id]
+    assert records[1] == TraceRecord(
+        msg_id=second.msg_id, parent_id=None, msg_type="late", sender=2,
+        destination=1, size_bytes=100, submitted_at=second.submitted_at,
+        delivered_at=second.delivered_at,
+    )
+    assert cluster.trace.filter(msg_type="late") == [records[1]]
+    cluster.trace.clear()
+    assert len(cluster.trace) == 0 and cluster.trace.records == []
+
+
 def test_message_helpers():
     message = Message(sender=0, destination=BROADCAST, msg_type="x")
     assert message.is_broadcast
@@ -145,3 +168,35 @@ def test_reproducibility_same_seed_same_delays():
         return [record.end_to_end_delay for record in cluster.trace.records]
 
     assert run_once() == run_once()
+
+
+# ----------------------------------------------------------------------
+# Block-drawn protocol-stack latencies
+# ----------------------------------------------------------------------
+def _scalar_stack_latencies(rng, params, count):
+    """The stack latencies drawn one ``random()``/``uniform()`` at a time."""
+    latencies = []
+    for _ in range(count):
+        if rng.random() < params.stack_slow_probability:
+            low, high = params.stack_latency_slow_low_ms, params.stack_latency_slow_high_ms
+        else:
+            low, high = params.stack_latency_fast_low_ms, params.stack_latency_fast_high_ms
+        latencies.append(float(rng.uniform(low, high)))
+    return latencies
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, transport_module.STACK_DRAW_BLOCK])
+def test_block_drawn_stack_latencies_equal_the_scalar_draws(
+    cluster_config, monkeypatch, block
+):
+    # With an odd block a block runs out between a copy's coin draw and its
+    # uniform draw, so the refill must fall inside one latency.
+    monkeypatch.setattr(transport_module, "STACK_DRAW_BLOCK", block)
+    transport = Cluster(cluster_config).transport
+    count = 3 * block + 300  # several refills, and both latency modes
+    drawn = [transport._sample_stack_latency() for _ in range(count)]
+    fresh = Cluster(cluster_config).sim.random.stream("transport.stack")
+    expected = _scalar_stack_latencies(fresh, cluster_config.network, count)
+    assert drawn == expected
+    assert len({latency > cluster_config.network.stack_latency_fast_high_ms
+                for latency in drawn}) == 2  # both modes occur

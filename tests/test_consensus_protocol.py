@@ -8,6 +8,8 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.config import ClusterConfig
 from repro.consensus.chandra_toueg import ChandraTouegConsensus
 from repro.consensus.messages import coordinator_of_round, majority_of
+from repro.experiments.figure8 import measure_class3_point
+from repro.experiments.settings import ExperimentSettings
 from repro.failure_detectors.static import StaticFailureDetector
 from repro.failure_detectors.heartbeat import HeartbeatFailureDetector
 
@@ -183,6 +185,38 @@ def test_duplicate_propose_for_the_same_instance_is_rejected():
     consensus.propose(0, "x")
     with pytest.raises(ValueError):
         consensus.propose(0, "y")
+
+
+def test_a_coordinator_that_hears_of_an_instance_first_still_proposes():
+    # The participants propose before the round-1 coordinator, whose
+    # estimates therefore arrive before its own propose() and create the
+    # instance lazily; that propose must join the instance, not raise.
+    cluster = _consensus_cluster(n=3, seed=13)
+    late = cluster.process(0).layer(ChandraTouegConsensus)
+    for pid in (1, 2):
+        consensus = cluster.process(pid).layer(ChandraTouegConsensus)
+        cluster.sim.schedule_at(1.0, consensus.propose, 0, f"v{pid}")
+    cluster.run(until=3.0)
+    assert late.decision_of(0) is None
+    late.propose(0, "v0")
+    cluster.run(until=100.0)
+    decisions = _decisions(cluster)
+    assert set(decisions) == {0, 1, 2}
+    assert {d.value for d in decisions.values()} == {"v0"}
+    assert all(d.round_number == 1 for d in decisions.values())
+    with pytest.raises(ValueError, match="already proposed"):
+        late.propose(0, "again")
+
+
+def test_class3_point_with_a_lagging_coordinator_clock_runs_to_the_end():
+    # Regression: at this seed the coordinator's clock lags far enough that
+    # a participant's estimate for instance 30 reaches it before its own
+    # scheduled propose(), which used to raise "already proposed".
+    point = measure_class3_point(
+        ExperimentSettings.quick(), 3, 100.0, 1573999074788715929, executions=31
+    )
+    assert len(point.latencies_ms) == 31
+    assert point.undecided == 0
 
 
 def test_decision_callbacks_fire_once_per_process_and_instance():
