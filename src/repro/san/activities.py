@@ -11,7 +11,12 @@ activities for control-flow branching (e.g. choosing the initial FD state,
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -156,19 +161,32 @@ class Activity:
         return True
 
     def choose_case(self, marking: Marking, rng: np.random.Generator) -> Case:
-        """Select one case according to the (normalised) case weights."""
-        if len(self.cases) == 1:
-            return self.cases[0]
-        weights = np.asarray([case.weight(marking) for case in self.cases], dtype=float)
-        if np.any(weights < 0):
+        """Select one case according to the (normalised) case weights.
+
+        Reproduces ``rng.choice(len(cases), p=w / total)`` exactly (same
+        case, same generator state after) at a fraction of its cost:
+        ``total`` is numpy's sum of the weights ``w``, the CDF the running
+        sum of ``w / total`` divided by its last entry, searched
+        (``bisect_right``) with one ``rng.random()`` draw.  A single case
+        draws nothing; negative, NaN, infinite or all-zero weights raise
+        :class:`ValueError` before any draw.
+        """
+        cases = self.cases
+        if len(cases) == 1:
+            return cases[0]
+        weights = [case.weight(marking) for case in cases]
+        if any(weight < 0 for weight in weights):
             raise ValueError(f"activity {self.name!r}: negative case probability")
-        total = float(weights.sum())
+        # numpy's sum: left to right below 8 terms, pairwise from 8 on.
+        total = reduce(add, weights) if len(weights) < 8 else float(np.add.reduce(weights))
         if total <= 0:
             raise ValueError(
                 f"activity {self.name!r}: case probabilities sum to zero"
             )
-        index = int(rng.choice(len(self.cases), p=weights / total))
-        return self.cases[index]
+        if not math.isfinite(total):
+            raise ValueError(f"activity {self.name!r}: case probabilities are not finite")
+        cdf = list(accumulate(weight / total for weight in weights))
+        return cases[bisect_right([value / cdf[-1] for value in cdf], rng.random())]
 
     def complete(self, marking: Marking, case: Case) -> None:
         """Apply the SAN completion rule for the chosen case.

@@ -8,18 +8,20 @@ completion-time matrix, and each simulation round advances every active
 row by exactly one timed event -- selected with one vectorised
 ``min``/``argmin`` over the completion matrix instead of ``B`` binary
 heaps.  Initial activation evaluates input arcs as one vectorised mask
-over the whole matrix (:meth:`CompiledSANModel.arc_enabled_mask`).
+over the whole matrix, from the compiled model's padded timed arc table
+(:class:`~repro.san.compiled.ArcTable`).
 
 The instantaneous chains that follow each round's completions run as
 **one matrix-level walk across every chaining row at once**
-(:meth:`_fire_chain_matrix`): candidate sets are boolean mask rows built
+(:meth:`_fire_chain_matrix`): candidate sets are integer bitmasks built
 from the compiled model's per-place dependency masks, and each chain
-round checks every candidate's input arcs for every chaining row with a
-single ``np.logical_and.reduceat`` over the compiled flat-arc tables.
-Only the parts the matrix cannot express stay per row -- gate
-predicates, case selection and the completion effects themselves -- and
-those are evaluated in the oracle's rank order, only for candidates the
-vectorised arc check has already passed.
+round checks every instantaneous activity's input arcs for every
+chaining row against the padded instantaneous arc table -- one ``>=``
+per arc slot, ANDed, then one ``np.packbits`` into an integer arc
+bitmask per row.  Only the parts the matrix cannot express stay per
+row -- gate predicates, case selection and the completion effects
+themselves -- and those are evaluated in the oracle's rank order, only
+for candidates the vectorised arc check has already passed.
 
 This is the only executor :class:`~repro.san.solver.SimulativeSolver`
 runs; a single replication is a batch of one.
@@ -39,6 +41,9 @@ Every row is **bit-identical to the** :class:`~repro.san.executor.SANExecutor`
   activity after each completion), so the per-row sequence numbers --
   which break same-instant completion ties exactly like the oracle's
   DES calendar -- are assigned identically;
+* a completion with several cases draws exactly one ``random()`` from
+  its case stream, through the same
+  :meth:`~repro.san.activities.Activity.choose_case` the oracle calls;
 * fixed vectorisable durations come from pre-drawn per-stream batches
   (:class:`~repro.san.compiled._BatchedDurationSampler`), which numpy
   guarantees bit-identical to one draw per call.
@@ -388,9 +393,7 @@ class BatchedSANExecutor:
         # order (the oracle's seq-assignment order).
         if active:
             row_ids = [row.index for row in active]
-            arc_mask = compiled.arc_enabled_mask(
-                self._tokens[row_ids], compiled.timed
-            )
+            arc_mask = compiled.timed_arcs.mask(self._tokens[row_ids])
             for position, row in enumerate(active):
                 self._schedule_initial(row, arc_mask[position])
 
@@ -622,9 +625,9 @@ class BatchedSANExecutor:
         re-evaluates everything).
 
         Each chain round makes *one* vectorised arc-enablement pass over
-        every still-chaining row -- a ``tokens >= weight`` comparison on
-        the flattened arc tables followed by ``np.logical_and.reduceat``
-        per arc segment, packed into one arc bitmask per row -- then walks
+        every still-chaining row -- one integer arc bitmask per row from
+        the padded instantaneous arc table
+        (:meth:`~repro.san.compiled.ArcTable.words`) -- then walks
         each row's arc-enabled candidates from the lowest set bit upward,
         evaluating gate predicates per row until the first fully-enabled
         candidate fires.  That fires exactly what the oracle's full
@@ -646,26 +649,7 @@ class BatchedSANExecutor:
         compiled = self._compiled
         instantaneous = compiled.instantaneous
         tokens_matrix = self._tokens
-        flat_places = compiled.inst_flat_places
-        flat_weights = compiled.inst_flat_weights
-        arc_starts = compiled.inst_arc_starts
-        arc_cols = compiled.inst_arc_cols
-        n_inst = compiled.n_inst
-        have_arcs = flat_places.size > 0
-        # Arc-less activities are always arc-enabled; the packed arc
-        # verdicts leave their bits zero, so OR their bits back in.
-        arcless_bits = ((1 << n_inst) - 1) & ~sum(
-            1 << int(column) for column in arc_cols
-        )
-        stride = (n_inst + 7) // 8
-        # Up to 62 instantaneous activities the per-row arc verdicts fit
-        # an int64, so one matmul with the column bit weights replaces the
-        # packbits round-trip (the wide fallback keeps packbits).
-        narrow = n_inst <= 62
-        if narrow and have_arcs:
-            col_weights = np.asarray(
-                [1 << int(column) for column in arc_cols], dtype=np.int64
-            )
+        inst_arcs = compiled.inst_arcs
         complete = self._complete
         positions = [
             position for position in range(len(rows)) if masks[position]
@@ -673,45 +657,16 @@ class BatchedSANExecutor:
         for _ in range(MAX_INSTANTANEOUS_CHAIN):
             if not positions:
                 return
-            if have_arcs:
-                row_ids = np.fromiter(
-                    (rows[position].index for position in positions),
-                    dtype=np.intp,
-                    count=len(positions),
-                )
-                arc_seg = np.logical_and.reduceat(
-                    tokens_matrix[np.ix_(row_ids, flat_places)]
-                    >= flat_weights,
-                    arc_starts,
-                    axis=1,
-                )
-                # Pack each row's per-activity arc verdicts into one
-                # bitmask (arc-less activities are always arc-enabled), so
-                # the per-row bookkeeping below is pure integer bit
-                # arithmetic.
-                if narrow:
-                    arc_words = (arc_seg @ col_weights).tolist()
-                else:
-                    arc_ok = np.zeros((len(positions), n_inst), dtype=bool)
-                    arc_ok[:, arc_cols] = arc_seg
-                    packed = np.packbits(
-                        arc_ok, axis=1, bitorder="little"
-                    ).tobytes()
+            # One arc bitmask per chaining row, so the per-row bookkeeping
+            # below is pure integer bit arithmetic.
+            arc_words = inst_arcs.words(
+                tokens_matrix[[rows[position].index for position in positions]]
+            )
             next_positions: List[int] = []
-            offset = 0
-            for ordinal, position in enumerate(positions):
-                viable = masks[position]
-                if have_arcs:
-                    if narrow:
-                        arc_bits = arcless_bits | arc_words[ordinal]
-                    else:
-                        arc_bits = arcless_bits | int.from_bytes(
-                            packed[offset : offset + stride], "little"
-                        )
-                        offset += stride
-                    # Arc-disabled candidates are verified disabled: drop.
-                    viable &= arc_bits
-                    masks[position] = viable
+            for position, arc_word in zip(positions, arc_words, strict=True):
+                # Arc-disabled candidates are verified disabled: drop.
+                viable = masks[position] & arc_word
+                masks[position] = viable
                 if not viable:
                     continue
                 row = rows[position]

@@ -2,10 +2,11 @@
 
 :class:`CompiledSANModel` lowers a :class:`~repro.san.model.SANModel` to
 integer-indexed structures: places become column indices into a token
-matrix, input/output arc effects become ``(place_index, weight)`` tuples,
-and the opaque parts -- gate predicates and functions, marking-dependent
-case probabilities, duration distributions -- stay as the original
-closures but re-keyed by activity index.  The compiled form is what
+matrix, input/output arc effects become ``(place_index, weight)`` tuples
+and, per activity kind, one padded :class:`ArcTable`, and the opaque
+parts -- gate predicates and functions, marking-dependent case
+probabilities, duration distributions -- stay as the original closures
+but re-keyed by activity index.  The compiled form is what
 :class:`~repro.san.batched.BatchedSANExecutor` interprets: ``B``
 replications advance lock-step over a ``B x places`` token matrix instead
 of ``B`` independent object-graph walks.
@@ -221,6 +222,50 @@ class CompiledActivity:
         return True
 
 
+class ArcTable:
+    """Padded input-arc table of a sequence of activities.
+
+    ``places`` and ``weights`` are ``width x columns`` arrays: slot ``s``
+    of column ``j`` holds activity ``j``'s ``s``-th input arc, ``width``
+    is the most input arcs any activity has, and padding slots (place 0,
+    weight 0) always hold, so arc-less activities need no special case.
+    ``columns`` rounds the activity count up to whole bytes with padding
+    columns, so the packed :meth:`mask` has one aligned word per row.
+    """
+
+    __slots__ = ("places", "weights")
+
+    def __init__(self, activities: Sequence[CompiledActivity]) -> None:
+        width = max((len(compiled.input_arcs) for compiled in activities), default=0)
+        columns = -(-len(activities) // 8) * 8
+        self.places = np.zeros((width, columns), dtype=np.intp)
+        self.weights = np.zeros((width, columns), dtype=np.int64)
+        for column, compiled in enumerate(activities):
+            for slot, (place, weight) in enumerate(compiled.input_arcs):
+                self.places[slot, column] = place
+                self.weights[slot, column] = weight
+
+    def mask(self, tokens: np.ndarray) -> np.ndarray:
+        """``B x columns`` arc verdicts: one gather and ``>=`` per slot, ANDed."""
+        places = self.places
+        weights = self.weights
+        if not len(places):
+            return np.ones((tokens.shape[0], places.shape[1]), dtype=bool)
+        mask = tokens[:, places[0]] >= weights[0]
+        for slot in range(1, len(places)):
+            mask &= tokens[:, places[slot]] >= weights[slot]
+        return mask
+
+    def words(self, tokens: np.ndarray) -> List[int]:
+        """One arc bitmask per token row (bit ``j``: activity ``j``), padding bits set."""
+        packed = np.packbits(self.mask(tokens), bitorder="little").tobytes()
+        stride = self.places.shape[1] // 8
+        return [
+            int.from_bytes(packed[row * stride : (row + 1) * stride], "little")
+            for row in range(tokens.shape[0])
+        ]
+
+
 class CompiledSANModel:
     """A :class:`~repro.san.model.SANModel` lowered to integer indices.
 
@@ -247,10 +292,8 @@ class CompiledSANModel:
         "global_inst_bits",
         "inst_bits_by_place",
         "inst_bits_by_unknown",
-        "inst_flat_places",
-        "inst_flat_weights",
-        "inst_arc_starts",
-        "inst_arc_cols",
+        "timed_arcs",
+        "inst_arcs",
         "n_places",
         "n_timed",
         "n_inst",
@@ -359,28 +402,11 @@ class CompiledSANModel:
                     bits |= self.inst_bits_by_place.get(place, 0)
                 compiled_case.candidate_bits = bits
 
-        # Flattened instantaneous input arcs, grouped by activity, for one
-        # ``np.logical_and.reduceat`` arc-enablement check per chain round
-        # over every chaining row at once: ``flat_places``/``flat_weights``
-        # concatenate each activity's arcs, ``arc_starts`` marks the
-        # segment boundaries (reduceat input), and ``arc_cols`` maps each
-        # segment back to its activity index.  Arc-less activities have no
-        # segment; their mask column defaults to enabled.
-        flat_places: List[int] = []
-        flat_weights: List[int] = []
-        arc_starts: List[int] = []
-        arc_cols: List[int] = []
-        for compiled in self.instantaneous:
-            if compiled.input_arcs:
-                arc_cols.append(compiled.index)
-                arc_starts.append(len(flat_places))
-                for place, weight in compiled.input_arcs:
-                    flat_places.append(place)
-                    flat_weights.append(weight)
-        self.inst_flat_places = np.asarray(flat_places, dtype=np.intp)
-        self.inst_flat_weights = np.asarray(flat_weights, dtype=np.int64)
-        self.inst_arc_starts = np.asarray(arc_starts, dtype=np.intp)
-        self.inst_arc_cols = np.asarray(arc_cols, dtype=np.intp)
+        # One padded arc table per activity kind, the only vectorised arc
+        # check: the timed one drives initial activation, the
+        # instantaneous one every round of the batched executor's chain.
+        self.timed_arcs = ArcTable(self.timed)
+        self.inst_arcs = ArcTable(self.instantaneous)
 
     def _inst_bits(self, activities: Sequence[CompiledActivity]) -> int:
         bits = 0
@@ -432,14 +458,10 @@ class CompiledSANModel:
         """Vectorised input-*arc* enablement over a ``B x P`` token matrix.
 
         Returns a ``B x len(activities)`` boolean mask; gates are not
-        evaluated (see :meth:`enablement_mask`).  One numpy comparison per
-        arc, amortised over all ``B`` rows.
+        evaluated (see :meth:`enablement_mask`).  The executor uses the
+        per-kind tables :attr:`timed_arcs` and :attr:`inst_arcs` directly.
         """
-        mask = np.ones((tokens.shape[0], len(activities)), dtype=bool)
-        for column, compiled in enumerate(activities):
-            for place, weight in compiled.input_arcs:
-                mask[:, column] &= tokens[:, place] >= weight
-        return mask
+        return ArcTable(activities).mask(tokens)[:, : len(activities)]
 
     def enablement_mask(
         self,
@@ -640,6 +662,7 @@ class RowMarking(Marking):
 
 
 __all__ = [
+    "ArcTable",
     "CompiledActivity",
     "CompiledCase",
     "CompiledSANModel",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.san import (
     InputGate,
@@ -21,6 +22,7 @@ from repro.san import (
     TimedActivity,
 )
 from repro.san.compiled import (
+    ArcTable,
     DURATION_BATCHED,
     DURATION_CONSTANT,
     DURATION_GENERIC,
@@ -195,6 +197,85 @@ def test_arc_enabled_mask_matches_per_row_checks():
                 for place, weight in activity.input_arcs
             )
             assert mask[row, column] == expected
+
+
+def _arc_model(data, n_inst, max_arcs):
+    """A model of ``n_inst`` instantaneous activities with random input arcs."""
+    n_places = data.draw(st.integers(min_value=1, max_value=6), label="places")
+    model = SANModel("arcs")
+    for place in range(n_places):
+        model.add_place(Place(f"p{place}", 0))
+    for index in range(n_inst):
+        arcs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n_places - 1).map(
+                        lambda place: f"p{place}"
+                    ),
+                    st.integers(min_value=1, max_value=3),
+                ),
+                max_size=max_arcs,
+                unique_by=lambda arc: arc[0],
+            ),
+            label=f"arcs[{index}]",
+        )
+        rank = data.draw(st.integers(min_value=0, max_value=3), label="rank")
+        model.add_activity(
+            InstantaneousActivity(f"i{index}", input_arcs=arcs, rank=rank)
+        )
+    return model
+
+
+@given(
+    data=st.data(),
+    n_inst=st.one_of(
+        st.integers(min_value=1, max_value=62),
+        st.integers(min_value=63, max_value=90),
+    ),
+    max_arcs=st.sampled_from([0, 1, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_padded_arc_table_words_match_per_activity_arc_checks(data, n_inst, max_arcs):
+    # Up to and past the 62 activities an int64 word holds; max_arcs=0 is
+    # a model without instantaneous arcs (table width 0).
+    compiled = compile_model(_arc_model(data, n_inst, max_arcs))
+    table = compiled.inst_arcs
+    width = max(len(a.input_arcs) for a in compiled.instantaneous)
+    assert table.places.shape == (width, -(-n_inst // 8) * 8)
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+    batch = data.draw(st.integers(min_value=1, max_value=5), label="rows")
+    tokens = np.random.default_rng(seed).integers(
+        0, 4, size=(batch, compiled.n_places)
+    )
+    words = table.words(tokens)
+    assert len(words) == batch
+    for row, word in enumerate(words):
+        for activity in compiled.instantaneous:
+            expected = all(
+                tokens[row, place] >= weight
+                for place, weight in activity.input_arcs
+            )
+            assert bool(word >> activity.index & 1) == expected, (row, activity.name)
+    mask = compiled.arc_enabled_mask(tokens, compiled.instantaneous)
+    assert mask.shape == (batch, n_inst)
+    assert mask.tolist() == [
+        [bool(word >> column & 1) for column in range(n_inst)] for word in words
+    ]
+
+
+def test_arc_table_pads_arcless_activities_and_whole_bytes():
+    model = SANModel("padding")
+    model.add_place(Place("p", 0))
+    model.add_activity(InstantaneousActivity("arcless"))
+    model.add_activity(InstantaneousActivity("heavy", input_arcs=[("p", 2)]))
+    compiled = compile_model(model)
+    table = compiled.inst_arcs
+    assert table.places.tolist() == [[0] * 8]
+    assert table.weights.tolist() == [[0, 2, 0, 0, 0, 0, 0, 0]]
+    tokens = np.array([[0], [1], [2]], dtype=np.int64)
+    # Bit 0 (arc-less) and the six padding columns always hold.
+    assert table.words(tokens) == [0b11111101, 0b11111101, 0b11111111]
+    assert ArcTable(()).words(tokens) == [0, 0, 0]
 
 
 def test_enablement_mask_applies_gate_predicates_per_row():

@@ -33,38 +33,50 @@ from repro.sanmodels.exponential import DELIVERED_PLACE
 
 CROSS_VALIDATION_REPLICATIONS = 1_000
 SPEEDUP_FLOOR = 10.0
+#: Timed solves per leg for the speedup gate.  The legs alternate and the
+#: best time of each is compared, so a load spike that hits one solve
+#: (or a lazy import on the first) cannot decide the ratio.
+TIMING_ROUNDS = 3
 
 
-def _solve_both(spec: CompareModelSpec, replications: int, seed: int):
-    analytic = AnalyticSolver(
-        model_factory=spec.model_factory,
-        reward_factory=spec.reward_factory,
-        stop_predicate=spec.stop_predicate,
-        max_time=spec.max_time,
-        confidence=0.95,
-    )
-    started = time.perf_counter()
-    exact = analytic.solve()
-    analytic_seconds = time.perf_counter() - started
+def _solve_both(spec: CompareModelSpec, replications: int, seed: int, rounds: int = 1):
+    """Solve ``spec`` analytically and by simulation ``rounds`` times each.
 
-    simulative = SimulativeSolver(
-        model_factory=spec.model_factory,
-        reward_factory=spec.reward_factory,
-        stop_predicate=spec.stop_predicate,
-        max_time=spec.max_time,
-        seed=seed,
-        confidence=0.95,
-    )
-    started = time.perf_counter()
-    sampled = simulative.solve(replications=replications)
-    simulative_seconds = time.perf_counter() - started
-    return exact, sampled, analytic_seconds, simulative_seconds
+    The two legs alternate; returns the last results and the best
+    (smallest) wall time of each leg.
+    """
+    analytic_seconds = []
+    simulative_seconds = []
+    for _ in range(rounds):
+        analytic = AnalyticSolver(
+            model_factory=spec.model_factory,
+            reward_factory=spec.reward_factory,
+            stop_predicate=spec.stop_predicate,
+            max_time=spec.max_time,
+            confidence=0.95,
+        )
+        started = time.perf_counter()
+        exact = analytic.solve()
+        analytic_seconds.append(time.perf_counter() - started)
+
+        simulative = SimulativeSolver(
+            model_factory=spec.model_factory,
+            reward_factory=spec.reward_factory,
+            stop_predicate=spec.stop_predicate,
+            max_time=spec.max_time,
+            seed=seed,
+            confidence=0.95,
+        )
+        started = time.perf_counter()
+        sampled = simulative.solve(replications=replications)
+        simulative_seconds.append(time.perf_counter() - started)
+    return exact, sampled, min(analytic_seconds), min(simulative_seconds)
 
 
 @pytest.mark.parametrize("spec", COMPARE_MODELS, ids=lambda spec: spec.key)
 def test_analytic_agrees_with_simulative_within_95_ci_and_is_10x_faster(spec):
     exact, sampled, analytic_seconds, simulative_seconds = _solve_both(
-        spec, CROSS_VALIDATION_REPLICATIONS, seed=5
+        spec, CROSS_VALIDATION_REPLICATIONS, seed=5, rounds=TIMING_ROUNDS
     )
     for reward_name in spec.reward_names:
         value = exact.mean(reward_name)
@@ -78,7 +90,8 @@ def test_analytic_agrees_with_simulative_within_95_ci_and_is_10x_faster(spec):
     assert speedup >= SPEEDUP_FLOOR, (
         f"{spec.key}: analytic solution only {speedup:.1f}x faster than "
         f"{CROSS_VALIDATION_REPLICATIONS}-replication simulation "
-        f"({analytic_seconds:.4f}s vs {simulative_seconds:.4f}s)"
+        f"(best of {TIMING_ROUNDS}: {analytic_seconds:.4f}s vs "
+        f"{simulative_seconds:.4f}s)"
     )
 
 
