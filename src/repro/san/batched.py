@@ -35,6 +35,14 @@ Every row is **bit-identical to the** :class:`~repro.san.executor.SANExecutor`
   named streams (``san.duration.<activity>`` / ``san.case.<activity>``)
   the oracle derives from ``Simulator(seed_r)``, and batching never
   interleaves draws across rows within a stream;
+* a row's stream is the very generator ``row.streams.stream(name)``
+  returns.  The first row to need ``name`` derives every row's PCG64
+  seed words in one vectorised
+  :func:`~repro.des.random.derive_stream_words` call; each row then
+  builds its generator lazily from its own row of that table and
+  stores it in ``row.streams``.  The words are the ones the oracle's
+  per-stream ``SeedSequence`` yields (the derivation contract of
+  :mod:`repro.des.random`), so the draws are the oracle's;
 * within a row, timed activities are walked in the oracle's order
   (declaration order at start-up; activities with unwatched gates first,
   then the readers of the name-sorted changed places, then the completed
@@ -61,7 +69,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from repro.des.random import RandomStreams
+from repro.des.random import RandomStreams, derive_stream_words
 from repro.des.simulator import Simulator
 from repro.san.compiled import (
     DURATION_BATCHED,
@@ -235,6 +243,9 @@ class BatchedSANExecutor:
         #: Constant-duration samplers are marking- and stream-independent,
         #: so one closure per activity serves every row of the batch.
         self._constant_samplers: Dict[int, DurationSampler] = {}
+        #: Per stream name, every row's PCG64 seed words -- derived in one
+        #: vectorised call the first time any row needs the stream.
+        self._stream_words: Dict[str, np.ndarray] = {}
         self._rows: List[_Row] = []
         for index, (row_streams, row_rewards, initial) in enumerate(
             zip(streams, rewards_per_row, initial_markings, strict=True)
@@ -555,7 +566,7 @@ class BatchedSANExecutor:
         if case is None:
             rng = row.case_rngs.get(activity.name)
             if rng is None:
-                rng = row.streams.stream(activity.case_stream)
+                rng = self._stream(row, activity.case_stream)
                 row.case_rngs[activity.name] = rng
             chosen = activity.activity.choose_case(marking, rng)
             case = activity.case_lookup[id(chosen)]  # repro: ignore[DET005] identity lookup of the exact Case object choose_case returned; no ordering involved
@@ -808,7 +819,7 @@ class BatchedSANExecutor:
 
             self._constant_samplers[activity.index] = constant_sampler
             return constant_sampler
-        rng = row.streams.stream(activity.duration_stream)
+        rng = self._stream(row, activity.duration_stream)
         if kind == DURATION_BATCHED:
             return _BatchedDurationSampler(
                 activity.distribution, rng, activity.name
@@ -819,6 +830,21 @@ class BatchedSANExecutor:
             return timed_activity.sample_duration(marking, rng)  # type: ignore[attr-defined]
 
         return generic_sampler
+
+    def _stream(self, row: _Row, name: str) -> np.random.Generator:
+        """Row ``row``'s stream ``name``, i.e. ``row.streams.stream(name)``.
+
+        The first row to need ``name`` derives the seed words of every
+        row at once (:func:`~repro.des.random.derive_stream_words`); each
+        row then builds its generator from its own row of that table, and
+        it lands in ``row.streams`` like any other stream.
+        """
+        words = self._stream_words.get(name)
+        if words is None:
+            words = self._stream_words[name] = derive_stream_words(
+                [other.streams for other in self._rows], name
+            )
+        return row.streams.adopt_stream(name, words[row.index])
 
     # ------------------------------------------------------------------
     # Termination

@@ -249,8 +249,16 @@ class FrozenMarking:
         return sum(count for _, count in self._items)
 
     def thaw(self) -> Marking:
-        """A fresh mutable :class:`Marking` with the same token counts."""
-        return Marking(dict(self._items))
+        """A fresh mutable :class:`Marking` with the same token counts.
+
+        The counts are already clean, so the token dict is built directly;
+        the change journal lists every (nonzero) place, exactly as
+        assigning each count through ``__setitem__`` would leave it.
+        """
+        marking = Marking.__new__(Marking)
+        marking._tokens = dict(self._items)
+        marking._changed = set(marking._tokens)
+        return marking
 
     @staticmethod
     def from_marking(marking: Marking) -> "FrozenMarking":

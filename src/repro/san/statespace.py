@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.san.activities import Activity, Case, InstantaneousActivity, TimedActivity
+from repro.san.activities import Activity, Case, TimedActivity
 from repro.san.marking import FrozenMarking, Marking
 from repro.san.model import SANModel
 from repro.stats.distributions import Exponential
@@ -203,11 +203,16 @@ class StateSpace:
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
+def _marking_dependent(distribution: object) -> bool:
+    """``True`` for a callable mapping the marking to a distribution."""
+    return callable(distribution) and not hasattr(distribution, "sample")
+
+
 def _exponential_rate(activity: TimedActivity, marking: Marking) -> float:
     """The exponential rate of ``activity`` in ``marking`` (or raise)."""
     dist = activity.distribution
-    if callable(dist) and not hasattr(dist, "sample"):
-        dist = dist(marking)
+    if _marking_dependent(dist):
+        dist = dist(marking)  # type: ignore[operator]
     if not isinstance(dist, Exponential):
         raise NonMarkovianModelError(
             f"timed activity {activity.name!r} has a "
@@ -239,9 +244,111 @@ def _case_distribution(
     ]
 
 
+class _ActivityTable:
+    """Enabling tables of one kind of activity, in scan order.
+
+    Prepared once per :func:`generate_state_space` call, never cached
+    across calls.  Bit ``i`` of a candidate mask stands for
+    ``activities[i]``.  Arc weights are >= 1, so an activity with input
+    arcs is enabled only if its *key* place holds a token -- of its arc
+    places, the one the fewest input arcs of the model read, so that key
+    places are rarely marked.  :meth:`enabled` therefore ORs the key-place
+    masks of the marking's marked places (arc-less activities are always
+    candidates) and checks only those candidates in full, lowest bit
+    first: the activities, and the order, a full linear scan would find.
+    """
+
+    __slots__ = (
+        "activities",
+        "arcs",
+        "predicates",
+        "always",
+        "by_place",
+        "rates",
+        "cases",
+    )
+
+    def __init__(
+        self, activities: Sequence[Activity], arc_readers: Dict[str, int]
+    ) -> None:
+        self.activities = tuple(activities)
+        self.arcs = tuple(activity.input_arcs for activity in activities)
+        self.predicates = tuple(
+            tuple(gate.predicate for gate in activity.input_gates)
+            for activity in activities
+        )
+        always = 0
+        by_place: Dict[str, int] = {}
+        for position, activity in enumerate(activities):
+            if not activity.input_arcs:
+                always |= 1 << position
+                continue
+            key = min(activity.input_arcs, key=lambda arc: arc_readers[arc[0]])[0]
+            by_place[key] = by_place.get(key, 0) | 1 << position
+        self.always = always
+        self.by_place = by_place
+        #: Marking-independent rates and case distributions, memoised on
+        #: first use (errors still surface where a full scan raises them).
+        self.rates: List[Optional[float]] = [None] * len(activities)
+        self.cases: List[Optional[List[Tuple[Case, float]]]] = [None] * len(
+            activities
+        )
+
+    def enabled(self, marking: Marking) -> Iterator[int]:
+        """Positions of the activities enabled in ``marking``, in order."""
+        tokens = marking._tokens
+        get = tokens.get
+        by_place = self.by_place
+        bits = self.always
+        for place, count in tokens.items():  # repro: ignore[DET001] order-free bitmask OR: any iteration order sets the same candidate bits
+            if count:
+                bits |= by_place.get(place, 0)
+        arcs = self.arcs
+        predicates = self.predicates
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            position = low.bit_length() - 1
+            enabled = True
+            for place, weight in arcs[position]:
+                if get(place, 0) < weight:
+                    enabled = False
+                    break
+            if enabled:
+                for predicate in predicates[position]:
+                    if not predicate(marking):
+                        enabled = False
+                        break
+            if enabled:
+                yield position
+
+    def rate(self, position: int, marking: Marking) -> float:
+        """:func:`_exponential_rate` of activity ``position``."""
+        rate = self.rates[position]
+        if rate is None:
+            activity = self.activities[position]
+            assert isinstance(activity, TimedActivity)
+            rate = _exponential_rate(activity, marking)
+            if not _marking_dependent(activity.distribution):
+                self.rates[position] = rate
+        return rate
+
+    def case_distribution(
+        self, position: int, marking: Marking
+    ) -> List[Tuple[Case, float]]:
+        """:func:`_case_distribution` of activity ``position``."""
+        cases = self.cases[position]
+        if cases is None:
+            activity = self.activities[position]
+            cases = _case_distribution(activity, marking)
+            if not any(callable(case.probability) for case in activity.cases):
+                self.cases[position] = cases
+        return cases
+
+
 def _stabilize(
     marking: Marking,
-    instantaneous: Sequence[InstantaneousActivity],
+    instantaneous: _ActivityTable,
     stop_predicate: Optional[MarkingPredicate],
 ) -> List[Tuple[float, Marking, Dict[str, float]]]:
     """Eliminate vanishing markings starting from ``marking``.
@@ -256,14 +363,12 @@ def _stabilize(
     pending: List[Tuple[float, Marking, Dict[str, float]]] = [(1.0, marking, {})]
     terminal: List[Tuple[float, Marking, Dict[str, float]]] = []
     firings = 0
+    activities = instantaneous.activities
     while pending:
         probability, current, fired = pending.pop()
-        enabled = None
-        for activity in instantaneous:
-            if activity.enabled(current):
-                enabled = activity
-                break
-        if enabled is None:
+        # The lowest-rank enabled activity fires.
+        position = next(instantaneous.enabled(current), None)
+        if position is None:
             terminal.append((probability, current, fired))
             continue
         firings += 1
@@ -273,12 +378,14 @@ def _stabilize(
                 "while eliminating a vanishing marking -- unstable "
                 "(vanishing) loop?"
             )
-        cases = _case_distribution(enabled, current)
+        activity = activities[position]
+        name = activity.name
+        cases = instantaneous.case_distribution(position, current)
         for case, case_probability in cases:
             branch = current.copy() if len(cases) > 1 else current
-            enabled.complete(branch, case)
+            activity.complete(branch, case)
             branch_fired = dict(fired)
-            branch_fired[enabled.name] = branch_fired.get(enabled.name, 0.0) + 1.0
+            branch_fired[name] = branch_fired.get(name, 0.0) + 1.0
             branch_probability = probability * case_probability
             if stop_predicate is not None and stop_predicate(branch):
                 terminal.append((branch_probability, branch, branch_fired))
@@ -308,12 +415,28 @@ def generate_state_space(
     max_states:
         Safety bound on the state count (raises
         :class:`StateSpaceError` beyond it).
+
+    Exploration is breadth-first from the stabilised initial marking;
+    states are numbered in discovery order, and each source's timed
+    activities are scanned in declaration order, each instantaneous
+    elimination step picking the lowest-rank enabled activity.  Both
+    scans run on per-activity arc and gate tables (:class:`_ActivityTable`)
+    prepared once per call -- never cached across calls -- and check only
+    the candidates a per-place bitmask of the marking admits, lowest bit
+    first.  The candidates are a superset of the enabled activities in
+    scan order, so the states, their numbering, the transitions and the
+    order of every float accumulation are those of a full linear scan.
     """
     model.validate()
-    instantaneous = sorted(
-        model.instantaneous_activities, key=lambda activity: activity.rank
+    arc_readers: Dict[str, int] = {}
+    for activity in model.activities:
+        for place, _weight in activity.input_arcs:
+            arc_readers[place] = arc_readers.get(place, 0) + 1
+    instantaneous = _ActivityTable(
+        sorted(model.instantaneous_activities, key=lambda activity: activity.rank),
+        arc_readers,
     )
-    timed = model.timed_activities
+    timed = _ActivityTable(model.timed_activities, arc_readers)
 
     start = (
         initial_marking.copy() if initial_marking is not None
@@ -366,14 +489,14 @@ def generate_state_space(
         source = frontier[cursor]
         cursor += 1
         source_marking = states[source].thaw()
-        # Aggregate parallel edges: (target) -> [rate, completions].
+        # Aggregate parallel edges: target -> [rate, completions].
         edges: Dict[int, Tuple[float, Dict[str, float]]] = {}
-        for activity in timed:
-            if not activity.enabled(source_marking):
-                continue
-            rate = _exponential_rate(activity, source_marking)
-            for case, case_probability in _case_distribution(
-                activity, source_marking
+        for position in timed.enabled(source_marking):
+            activity = timed.activities[position]
+            name = activity.name
+            rate = timed.rate(position, source_marking)
+            for case, case_probability in timed.case_distribution(
+                position, source_marking
             ):
                 after = source_marking.copy()
                 activity.complete(after, case)
@@ -387,17 +510,14 @@ def generate_state_space(
                     target = intern_state(terminal, stopped)
                     edge_rate = branch_rate * probability
                     total_rate, completions = edges.get(target, (0.0, {}))
-                    completions = dict(completions)
                     # Completions are per-transition expectations, so each
                     # contribution is weighted by its share of the edge.
-                    completions[activity.name] = (
-                        completions.get(activity.name, 0.0) + edge_rate
-                    )
+                    completions[name] = completions.get(name, 0.0) + edge_rate
                     # sorted() for the same per-key-independence reason as
                     # the initial-completions accumulation above.
-                    for name, count in sorted(fired.items()):
-                        completions[name] = (
-                            completions.get(name, 0.0) + count * edge_rate
+                    for fired_name, count in sorted(fired.items()):
+                        completions[fired_name] = (
+                            completions.get(fired_name, 0.0) + count * edge_rate
                         )
                     edges[target] = (total_rate + edge_rate, completions)
         for target, (rate, completions) in edges.items():  # repro: ignore[DET001] keyed by interned state id; insertion order is the deterministic discovery order, and sorting would reorder downstream float accumulation

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+
+from repro.experiments.solver_compare import compare_model_spec
 
 from repro.san import (
     Case,
@@ -17,6 +21,8 @@ from repro.san import (
     TimedActivity,
     generate_state_space,
 )
+from repro.sanmodels import exponential_consensus_model, exponential_unicast_burst_model
+from repro.sanmodels.consensus_model import consensus_stop_predicate
 from repro.stats.distributions import Constant, Exponential, Uniform
 
 
@@ -282,3 +288,91 @@ def test_summary_and_exit_rates():
     space = generate_state_space(birth_death_model(capacity=1))
     assert "birth-death" in space.summary()
     assert space.exit_rates()[space.index_of(Marking({"free": 1}))] == pytest.approx(2.0)
+
+
+# ----------------------------------------------------------------------
+# Pinned exploration order
+# ----------------------------------------------------------------------
+def _state_space_digest(space) -> str:
+    """SHA-256 over everything the generator decides, floats bit for bit.
+
+    Covers the state order (the numbering), every transition in emission
+    order with its rate and completions, the initial distribution, the
+    initial completions and the absorbing/stop masks.
+    """
+    digest = hashlib.sha256()
+    for state in space.states:
+        digest.update(repr(tuple(state.items())).encode())
+    for transition in space.transitions:
+        digest.update(
+            repr(
+                (
+                    transition.source,
+                    transition.target,
+                    transition.rate.hex(),
+                    tuple((name, count.hex()) for name, count in transition.completions),
+                )
+            ).encode()
+        )
+    digest.update(
+        repr([float(value).hex() for value in space.initial_distribution]).encode()
+    )
+    digest.update(
+        repr(
+            sorted((name, count.hex()) for name, count in space.initial_completions.items())
+        ).encode()
+    )
+    digest.update(space.absorbing.tobytes())
+    digest.update(space.stop_mask.tobytes())
+    return digest.hexdigest()
+
+
+#: Digests of ``generate_state_space`` on the composed consensus model and
+#: the solver-compare suite, recorded before the generator's candidate
+#: scan and prepared activity tables replaced the full linear scans.
+PINNED_STATE_SPACES = {
+    "consensus-n3": (
+        1233,
+        "2055890bb439319e7e7c0cda15563828a1a113f8c8e48e3fba50f8b28b7c578e",
+    ),
+    "consensus-n3-stop": (
+        345,
+        "068d3c96f6f73e9f5e92d5713df35f72c6188cc3f8802269351cb8f3dc9e4767",
+    ),
+    "fd-pair": (
+        2,
+        "e6a4066b4f9bb49d6974ab8e3837b3c274ae14c227e1dc533584aafe84879329",
+    ),
+    "unicast-burst": (
+        35,
+        "2dd422faff153a681a6f9c1533c247dcda2b97e11316519271ef6878b6f1e9b0",
+    ),
+    # Lossy: every network stage branches into delivered and lost cases.
+    "unicast-burst-lossy": (
+        35,
+        "bc1c565861e96307514238b71d2794ff22f0f76912bce3d58b913d656125fb79",
+    ),
+}
+
+
+def _pinned_space(key: str):
+    if key == "consensus-n3":
+        return generate_state_space(exponential_consensus_model(3))
+    if key == "consensus-n3-stop":
+        return generate_state_space(
+            exponential_consensus_model(3), stop_predicate=consensus_stop_predicate
+        )
+    if key == "unicast-burst-lossy":
+        return generate_state_space(
+            exponential_unicast_burst_model(messages=3, loss_rate=0.2)
+        )
+    spec = compare_model_spec(key)
+    return generate_state_space(spec.model_factory(), stop_predicate=spec.stop_predicate)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_STATE_SPACES))
+def test_state_space_exploration_order_is_pinned(key):
+    space = _pinned_space(key)
+    n_states, digest = PINNED_STATE_SPACES[key]
+    assert space.n_states == n_states
+    assert _state_space_digest(space) == digest
