@@ -372,6 +372,11 @@ def iter_plan(
     ]
     owned = pool is None
     if owned:
+        # scipy loads on first use; importing it before the workers fork
+        # lets them inherit it instead of each importing it again.
+        from repro.san.analytic import load_numerics
+
+        load_numerics()
         pool = ProcessPoolExecutor(max_workers=min(jobs, max(1, len(groups))))
     try:
         # index -> (group future, offset of this point's result in it).

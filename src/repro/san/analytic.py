@@ -22,6 +22,11 @@ confidence) and its :meth:`AnalyticSolver.solve` returns an
 transparently.  Reported intervals have zero half-width: the solution is
 exact up to numerical linear algebra.
 
+scipy (``sparse``, ``sparse.linalg``, ``special``) is imported inside the
+functions that use it, so importing this module costs only numpy.  The
+Poisson helpers are the ``scipy.special`` formulas ``scipy.stats.poisson``
+evaluates, bit for bit, without loading ``scipy.stats``.
+
 When to use which solver
 ------------------------
 * **Analytic**: every timed activity exponential, and the state space
@@ -42,9 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
-from scipy.stats import poisson
 
 from repro.san.marking import Marking
 from repro.san.model import SANModel
@@ -75,6 +77,46 @@ DENSE_STATE_LIMIT = 2_000
 
 class AnalyticSolverError(RuntimeError):
     """Raised when a model cannot be solved analytically."""
+
+
+def load_numerics() -> None:
+    """Import now the scipy modules this solver and confidence intervals load lazily.
+
+    Callers that time :meth:`AnalyticSolver.solve` call this before the
+    clock starts, so a one-time import is not charged to the first solve;
+    the sweep runner calls it before forking workers, which then inherit
+    the modules instead of each importing them.
+    """
+    import scipy.sparse.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
+
+
+def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
+    """``scipy.stats.poisson.pmf(k, mu)`` for integers ``k >= 0``."""
+    from scipy import special
+
+    return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
+
+
+def _poisson_sf(k: np.ndarray, mu: float) -> np.ndarray:
+    """``scipy.stats.poisson.sf(k, mu)`` for integers ``k >= 0``."""
+    from scipy import special
+
+    return special.pdtrc(k, mu)
+
+
+def _poisson_ppf(q: float, mu: float) -> float:
+    """``scipy.stats.poisson.ppf(q, mu)`` for ``0 < q < 1``.
+
+    The smallest ``k`` with ``P(N <= k) >= q``: the inverse of the
+    continuous CDF, rounded up, then stepped down once if the integer
+    below already reaches ``q``.
+    """
+    from scipy import special
+
+    upper = float(np.ceil(special.pdtrik(q, mu)))
+    lower = max(upper - 1.0, 0.0)
+    return lower if special.pdtr(lower, mu) >= q else upper
 
 
 @dataclass
@@ -231,6 +273,8 @@ class AnalyticSolver:
             modified[n - 1, :] = np.ones(n)
             rhs = np.zeros(n)
             rhs[-1] = 1.0
+            from scipy.sparse import linalg as sparse_linalg
+
             solution = sparse_linalg.spsolve(modified.tocsr(), rhs)
         if not np.all(np.isfinite(solution)):
             raise AnalyticSolverError(
@@ -266,12 +310,14 @@ class AnalyticSolver:
         if rate <= 0.0:
             # Every state is absorbing: the distribution never moves.
             return pi0 * t if accumulate else pi0.copy()
+        from scipy import sparse
+
         # Uniformized DTMC:  P = I + Q / rate.
         p_matrix = sparse.identity(space.n_states, format="csr") + (
             space.generator() * (1.0 / rate)
         )
         poisson_mean = rate * t
-        terms = int(poisson.ppf(1.0 - UNIFORMIZATION_EPSILON, poisson_mean)) + 2
+        terms = int(_poisson_ppf(1.0 - UNIFORMIZATION_EPSILON, poisson_mean)) + 2
         if terms > MAX_UNIFORMIZATION_TERMS:
             raise AnalyticSolverError(
                 f"uniformization needs ~{terms} terms (max exit rate {rate:g} "
@@ -281,9 +327,9 @@ class AnalyticSolver:
         ks = np.arange(terms)
         if accumulate:
             # integral_0^t pi(s) ds = (1/rate) * sum_k P(N > k) pi0 P^k.
-            weights = poisson.sf(ks, poisson_mean) / rate
+            weights = _poisson_sf(ks, poisson_mean) / rate
         else:
-            weights = poisson.pmf(ks, poisson_mean)
+            weights = _poisson_pmf(ks, poisson_mean)
         vector = pi0.copy()
         result = weights[0] * vector
         for k in range(1, terms):
@@ -322,6 +368,8 @@ class AnalyticSolver:
                             q_tt.toarray().T, -p0_t
                         )
                     else:
+                        from scipy.sparse import linalg as sparse_linalg
+
                         tau = sparse_linalg.spsolve(
                             q_tt.transpose().tocsr(), -p0_t
                         )
@@ -377,6 +425,8 @@ class AnalyticSolver:
         if q_ll.shape[0] <= DENSE_STATE_LIMIT:
             h = np.linalg.solve(q_ll.toarray(), -rate_to_target[live])
         else:
+            from scipy.sparse import linalg as sparse_linalg
+
             h = sparse_linalg.spsolve(q_ll.tocsr(), -rate_to_target[live])
         h = np.clip(h, 0.0, 1.0)
         probability += float(space.initial_distribution[live] @ h)

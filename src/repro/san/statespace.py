@@ -45,15 +45,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.san.activities import Activity, Case, TimedActivity
 from repro.san.marking import FrozenMarking, Marking
 from repro.san.model import SANModel
 from repro.stats.distributions import Exponential
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; scipy loads in generator()
+    from scipy import sparse
 
 MarkingPredicate = Callable[[Marking], bool]
 
@@ -151,6 +153,8 @@ class StateSpace:
     def generator(self) -> sparse.csr_matrix:
         """The CTMC generator matrix Q (rows sum to zero), cached."""
         if self._generator is None:
+            from scipy import sparse
+
             n = self.n_states
             rows, cols, rates = [], [], []
             diagonal = np.zeros(n)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,18 @@ class SampleSummary:
         }
 
 
+def _t_quantile(df: int, confidence: float) -> float:
+    """Two-sided Student-t quantile: ``scipy.stats.t.ppf(0.5 + confidence / 2, df)``.
+
+    ``scipy.special.stdtrit`` is the function ``t.ppf`` calls, so the value
+    is the same bit for bit; it is imported here, on first use, so that
+    importing this module does not load scipy.
+    """
+    from scipy import special
+
+    return float(special.stdtrit(df, 0.5 + confidence / 2.0))
+
+
 def confidence_interval(
     samples: Sequence[float], confidence: float = 0.90
 ) -> ConfidenceInterval:
@@ -103,7 +114,7 @@ def confidence_interval(
         return ConfidenceInterval(mean=mean, half_width=math.inf,
                                   confidence=confidence, n=1)
     std_err = float(np.std(data, ddof=1)) / math.sqrt(data.size)
-    t_value = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=data.size - 1))
+    t_value = _t_quantile(data.size - 1, confidence)
     return ConfidenceInterval(
         mean=mean,
         half_width=t_value * std_err,

@@ -1,0 +1,128 @@
+"""Import hygiene: scipy stays off the import path of ``repro``.
+
+Every ``python -m repro`` run is a fresh process, so import time is paid
+once per figure.  ``scipy.stats`` alone costs about a second to import,
+and ``scipy.special`` and ``scipy.sparse`` cost a few tenths each; the
+package therefore imports scipy only inside the functions that need it
+(confidence intervals and the analytic solver), and never ``scipy.stats``.
+A sweep that forks workers imports scipy first, so the workers inherit it
+instead of each importing it again.  Each check runs in a fresh
+interpreter because the test process itself has long since loaded scipy.
+"""
+
+from __future__ import annotations
+
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+SCIPY_MODULES = ("scipy", "scipy.stats", "scipy.sparse", "scipy.special")
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _loaded_after(script: str) -> dict[str, bool]:
+    """Run ``script`` in a fresh interpreter; report which scipy modules it loaded.
+
+    The script may print lines of its own; the report is the last line.
+    """
+    report = textwrap.dedent(
+        f"""
+        import json, sys
+        print(json.dumps({{name: name in sys.modules for name in {SCIPY_MODULES!r}}}))
+        """
+    )
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), environment.get("PYTHONPATH", "")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script) + report],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env=environment,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_importing_repro_and_discovering_experiments_loads_no_scipy():
+    loaded = _loaded_after(
+        """
+        import repro
+        from repro.experiments import registry
+
+        registry.discover()
+        """
+    )
+    assert loaded == dict.fromkeys(SCIPY_MODULES, False)
+
+
+def test_no_module_of_the_package_imports_scipy_at_import_time():
+    loaded = _loaded_after(
+        """
+        import importlib, pkgutil
+        import repro
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):  # __main__ runs the CLI
+                importlib.import_module(module.name)
+        """
+    )
+    assert loaded == dict.fromkeys(SCIPY_MODULES, False)
+
+
+def test_confidence_intervals_and_analytic_solves_never_load_scipy_stats():
+    loaded = _loaded_after(
+        """
+        from repro.experiments.solver_compare import compare_model_spec
+        from repro.san.analytic import AnalyticSolver
+        from repro.stats.descriptive import confidence_interval
+
+        confidence_interval([1.0, 2.0, 4.0])
+        spec = compare_model_spec("fd-pair")  # horizon mode: uniformization
+        AnalyticSolver(
+            model_factory=spec.model_factory,
+            reward_factory=spec.reward_factory,
+            stop_predicate=spec.stop_predicate,
+            max_time=spec.max_time,
+        ).solve()
+        """
+    )
+    # The lazy imports did run (so the check is not vacuous) ...
+    assert loaded["scipy.special"] and loaded["scipy.sparse"]
+    # ... and none of them pulled in scipy.stats.
+    assert not loaded["scipy.stats"]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="inheritance needs forked workers"
+)
+def test_pooled_sweep_workers_inherit_scipy_from_the_parent():
+    loaded = _loaded_after(
+        """
+        import sys
+
+        from repro.experiments.runner import ReplicationPlan, SweepPoint, execute_plan
+        from repro.experiments.settings import ExperimentSettings
+
+        def scipy_special_loaded():
+            return "scipy.special" in sys.modules
+
+        plan = ReplicationPlan(
+            settings=ExperimentSettings(),
+            points=tuple(
+                SweepPoint.make(scipy_special_loaded, indices=(i,), seed_arg=None)
+                for i in range(2)
+            ),
+        )
+        assert execute_plan(plan, jobs=2) == [True, True]
+        """
+    )
+    assert loaded["scipy.special"] and not loaded["scipy.stats"]

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.san import (
     ActivityCounter,
@@ -19,6 +21,12 @@ from repro.san import (
     RewardVariable,
     SANModel,
     TimedActivity,
+)
+from repro.san.analytic import (
+    UNIFORMIZATION_EPSILON,
+    _poisson_pmf,
+    _poisson_ppf,
+    _poisson_sf,
 )
 from repro.stats.distributions import Exponential
 
@@ -336,3 +344,55 @@ def test_all_absorbing_chain_transient_is_constant():
     pi = solver.transient(10.0)
     assert np.allclose(pi, solver.state_space.initial_distribution)
     assert np.allclose(solver.accumulated(2.0), pi * 2.0)
+
+
+# ----------------------------------------------------------------------
+# The Poisson helpers reproduce scipy.stats.poisson bit for bit
+# ----------------------------------------------------------------------
+#: 600 seeded means over the range uniformization meets, plus edge means
+#: (zero, subnormal, tiny, integral, and beyond the seeded range).
+POISSON_MEANS = [
+    *np.random.default_rng(20020623).uniform(0.0, 500.0, size=600).tolist(),
+    0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.5, 1.0, 2.0, 500.0, 1e4,
+]
+
+
+def _bit_identical(ours, theirs):
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return ours.dtype == theirs.dtype and np.array_equal(ours, theirs, equal_nan=True)
+
+
+def _support(mu):
+    # Every k uniformization could weight, and well into the tail.
+    return np.arange(int(3 * mu) + 21)
+
+
+def test_poisson_pmf_matches_scipy_stats():
+    for mu in POISSON_MEANS:
+        ks = _support(mu)
+        assert _bit_identical(_poisson_pmf(ks, mu), stats.poisson.pmf(ks, mu)), mu
+
+
+def test_poisson_sf_matches_scipy_stats():
+    for mu in POISSON_MEANS:
+        ks = _support(mu)
+        assert _bit_identical(_poisson_sf(ks, mu), stats.poisson.sf(ks, mu)), mu
+
+
+def test_poisson_ppf_matches_scipy_stats_at_truncation_and_seeded_quantiles():
+    rng = np.random.default_rng(22)
+    for mu in POISSON_MEANS:
+        for q in [1.0 - UNIFORMIZATION_EPSILON, *rng.random(3).tolist()]:
+            assert _poisson_ppf(q, mu) == float(stats.poisson.ppf(q, mu)), (q, mu)
+
+
+@given(
+    q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    mu=st.one_of(
+        st.sampled_from(POISSON_MEANS[-10:]),
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_poisson_ppf_matches_scipy_stats_at_random_quantiles(q, mu):
+    assert _poisson_ppf(q, mu) == float(stats.poisson.ppf(q, mu))

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.stats.descriptive import (
+    _t_quantile,
     batch_means,
     confidence_interval,
     summarize,
@@ -107,3 +109,41 @@ def test_summary_respects_basic_order_invariants(sample):
     assert summary.minimum <= summary.median <= summary.maximum
     assert summary.minimum - slack <= summary.mean <= summary.maximum + slack
     assert summary.p90 <= summary.maximum + slack
+
+
+# ----------------------------------------------------------------------
+# The t quantile reproduces scipy.stats.t.ppf bit for bit
+# ----------------------------------------------------------------------
+def _scipy_t_quantile(df, confidence):
+    # The call confidence_interval made before it used scipy.special.
+    return float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+
+
+@pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+def test_t_quantile_matches_scipy_stats_on_every_df_below_2000(confidence):
+    for df in range(1, 2000):
+        assert _t_quantile(df, confidence) == _scipy_t_quantile(df, confidence), df
+
+
+@given(
+    df=st.integers(min_value=1, max_value=10**7),
+    confidence=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_t_quantile_matches_scipy_stats_at_any_confidence(df, confidence):
+    assert _t_quantile(df, confidence) == _scipy_t_quantile(df, confidence)
+
+
+@given(
+    sample=st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=50
+    ),
+    confidence=st.sampled_from([0.90, 0.95, 0.99]),
+)
+def test_confidence_interval_half_width_is_bit_identical_to_the_scipy_stats_formula(
+    sample, confidence
+):
+    data = np.asarray(sample, dtype=float)
+    std_err = float(np.std(data, ddof=1)) / math.sqrt(data.size)
+    expected = _scipy_t_quantile(data.size - 1, confidence) * std_err
+    assert confidence_interval(sample, confidence).half_width == expected
