@@ -20,8 +20,11 @@ Options:
   processes through :mod:`repro.experiments.runner` (``--jobs 0`` uses one
   worker per CPU); the output is bit-for-bit identical to a serial run.
 * ``--cache-dir DIR`` memoises per-point results on disk so that
-  re-rendering a figure (or resuming after an interrupt) only recomputes
-  missing points.
+  re-rendering a figure (or resuming after an interrupt or a failed point)
+  only recomputes missing points; every stage of every experiment is a
+  cache point, so a warm re-run computes nothing.  The text format's
+  ``[... regenerated in X s]`` line then also counts the points served
+  from the cache.
 * ``--batch-size N|auto`` sets the lock-step batch size of the SAN solver
   for every simulative point (any SAN-backed subcommand) by activating
   the process execution policy (:mod:`repro.san.execution`); it is a
@@ -128,8 +131,13 @@ def _emit(
     run: "registry.ExperimentRun",
     output_format: str,
     output_dir: Optional[str],
+    cached: bool = False,
 ) -> None:
-    """Render one experiment run to stdout (and to disk with ``--output``)."""
+    """Render one experiment run to stdout (and to disk with ``--output``).
+
+    ``cached`` (a run with ``--cache-dir``) adds how many of the run's
+    points the cache served to the text format's closing line.
+    """
     spec = run.spec
     text = run.text()
     # Build the (potentially large) structured views exactly once, and only
@@ -150,7 +158,12 @@ def _emit(
     if output_format == "text":
         print(f"==== {spec.name} ====")
         print(text)
-        print(f"[{spec.name} regenerated in {run.manifest.wall_clock_seconds:.1f} s]")
+        summary = f"{spec.name} regenerated in {run.manifest.wall_clock_seconds:.1f} s"
+        if cached:
+            points = run.manifest.points
+            hits = sum(point.cached for point in points)
+            summary += f", {hits} of {len(points)} points from cache"
+        print(f"[{summary}]")
         print()
     elif output_format == "json":
         print(dump_json(payload))
@@ -189,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         spec = registry.get(name)
         run = registry.run_experiment(spec, options=options, settings=settings)
-        _emit(run, args.output_format, args.output)
+        _emit(run, args.output_format, args.output, cached=args.cache_dir is not None)
     return 0
 
 

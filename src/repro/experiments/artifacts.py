@@ -86,7 +86,10 @@ def json_safe(value: Any) -> Any:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PointTiming:
-    """Wall clock of one sweep point (or ad-hoc stage) of an experiment."""
+    """Wall clock of one sweep point of an experiment.
+
+    ``cached`` points were served by the result cache and report 0.0 s.
+    """
 
     label: str
     indices: Tuple[int, ...]

@@ -270,15 +270,24 @@ def run_figure7b_in(
     """Context-based entry point of the Figure 7(b) calibration."""
     settings = context.settings
     if measured_latencies is None:
-        measured_latencies = context.record(
-            f"figure7b measure n={n_processes}",
-            lambda: measure_latencies(
-                settings,
-                n_processes=n_processes,
-                scenario=Scenario.no_failures(),
-                executions=settings.executions,
-                point_seed=settings.point_seed(7, 2, n_processes),
-            ),
+        # A one-point plan puts the measurement in the cache and the
+        # manifest.  Its seed is passed explicitly, so the point carries no
+        # seed indices.
+        measure = SweepPoint.make(
+            measure_latencies,
+            kwargs={
+                "settings": settings,
+                "n_processes": n_processes,
+                "scenario": Scenario.no_failures(),
+                "executions": settings.executions,
+                "point_seed": settings.point_seed(7, 2, n_processes),
+            },
+            indices=(),
+            label=f"figure7b measure n={n_processes}",
+            seed_arg=None,
+        )
+        ((_point, measured_latencies),) = context.iter(
+            ReplicationPlan(settings=settings, points=(measure,), name="figure7b")
         )
     if parameters is None:
         parameters = run_figure6_in(context).san_parameters()

@@ -40,7 +40,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    TypeVar,
 )
 
 from repro.experiments.artifacts import (
@@ -74,8 +73,6 @@ __all__ = [
     "run_experiment",
 ]
 
-T = TypeVar("T")
-
 #: Streaming aggregation: consume ``(point, result)`` pairs in plan order
 #: and build the experiment's result object.
 Aggregate = Callable[[ExperimentSettings, Iterable[Tuple[SweepPoint, Any]]], Any]
@@ -89,9 +86,9 @@ class ExperimentContext:
     """Everything an experiment needs at run time, resolved exactly once.
 
     The context owns the settings, the worker count, the (optional) result
-    cache and the timing trail.  Experiment implementations run their plans
-    through :meth:`iter` and wrap ad-hoc stages in :meth:`record`, so every
-    unit of work lands in the manifest without per-module plumbing.
+    cache and the timing trail.  Experiment implementations run every stage
+    as a plan through :meth:`iter`, so every unit of work is cached and
+    lands in the manifest without per-module plumbing.
     """
 
     settings: ExperimentSettings
@@ -118,15 +115,6 @@ class ExperimentContext:
         return iter_plan(
             plan, jobs=self.jobs, cache=self.cache, timing_hook=self._record_point
         )
-
-    def record(self, label: str, step: Callable[[], T]) -> T:
-        """Run an ad-hoc (non-plan) stage, timing it into the manifest."""
-        started = time.perf_counter()  # repro: ignore[DET004] elapsed-time metadata only; never feeds simulation state or results
-        result = step()
-        self.timings.append(
-            PointTiming(label=label, indices=(), seconds=time.perf_counter() - started)  # repro: ignore[DET004] elapsed-time metadata only; never feeds simulation state or results
-        )
-        return result
 
     def _record_point(self, point: SweepPoint, seconds: float, cached: bool) -> None:
         self.timings.append(
@@ -158,7 +146,7 @@ class ExperimentSpec:
         experiment (the common case).
     run:
         Full custom execution for composite experiments that chain
-        sub-experiments or ad-hoc measurement stages; overrides
+        sub-experiments or build plans from intermediate results; overrides
         ``build_plan``/``aggregate`` when set.
     to_rows:
         Optional result -> ``(header, rows)`` tabular series; experiments

@@ -18,6 +18,12 @@ grids serially; this module factors the iteration into a reusable engine:
   (point function, arguments, derived seed, settings), so re-rendering a
   figure after a crash or with a different ``--jobs`` value is free.
 
+Every stage of every registered experiment runs as a plan through
+:func:`iter_plan` (composite experiments build one-point plans for their
+intermediate stages), so the cache and the per-point timing hook cover all
+the work an experiment does: a warm re-run computes nothing, and a re-run
+after a failed point resumes from the points that finished.
+
 Determinism contract
 --------------------
 A point's seed is ``settings.point_seed(*point.indices)``: it depends only
@@ -289,6 +295,19 @@ def _execute_group_payload(
     return [_execute_payload(payload) for payload in payloads]
 
 
+def _note_failing_point(
+    error: BaseException, plan: ReplicationPlan, point: SweepPoint
+) -> None:
+    """Name the failing point on ``error`` (``add_note`` is Python >= 3.11)."""
+    if not hasattr(error, "add_note"):
+        return
+    seed = point.seed(plan.settings) if point.seed_arg is not None else None
+    error.add_note(
+        f"while running point {point.label!r} of plan {plan.name!r} "
+        f"(indices {point.indices}, seed {seed})"
+    )
+
+
 def iter_plan(
     plan: ReplicationPlan,
     jobs: Optional[int] = 1,
@@ -321,6 +340,14 @@ def iter_plan(
     it never affects the serial path, point seeds, cache keys, per-point
     timings, or the plan-order yield -- ``group_size=N`` is bit-identical
     to ``group_size=1``.
+
+    A point that raises propagates its original exception, with a note
+    naming the plan, point, indices and seed where ``add_note`` exists.
+    With a cache, every other point that finished successfully is written
+    to it first -- on the pooled path that includes points after the
+    failing one -- so a re-run with the same cache resumes.  A group is one
+    submission, so a failing point also loses the earlier points of its own
+    group (none at the default ``group_size=1``).
     """
     jobs = resolve_jobs(jobs)
     if group_size < 1:
@@ -359,7 +386,11 @@ def iter_plan(
                 yield finish_cached(point, cached[index])
                 continue
             started = time.perf_counter()  # repro: ignore[DET004] elapsed-time metadata only; never feeds simulation state or results
-            result = point.func(**point.call_kwargs(plan.settings))
+            try:
+                result = point.func(**point.call_kwargs(plan.settings))
+            except Exception as error:
+                _note_failing_point(error, plan, point)
+                raise
             yield finish(index, point, time.perf_counter() - started, result)  # repro: ignore[DET004] elapsed-time metadata only; never feeds simulation state or results
         return
 
@@ -399,7 +430,20 @@ def iter_plan(
                 yield finish_cached(point, cached[index])
             else:
                 future, offset = futures[index]
-                seconds, result = future.result()[offset]
+                try:
+                    seconds, result = future.result()[offset]
+                except Exception as error:
+                    if cache is not None:
+                        # Wait for the points still running and keep every
+                        # one that succeeded, so a re-run resumes.
+                        for later in pending:
+                            later_future, later_offset = futures[later]
+                            if later > index and later_future.exception() is None:
+                                key = keys[later]
+                                assert key is not None
+                                cache.put(key, later_future.result()[later_offset][1])
+                    _note_failing_point(error, plan, point)
+                    raise
                 yield finish(index, point, seconds, result)
     finally:
         if owned:

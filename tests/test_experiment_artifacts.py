@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from contextlib import redirect_stdout
 
 import pytest
@@ -33,13 +34,54 @@ from repro.experiments.settings import ExperimentSettings
 
 @pytest.fixture(scope="module")
 def smoke_cli_artifacts(tmp_path_factory):
-    """Run every registered experiment at smoke scale through the CLI."""
-    output_dir = tmp_path_factory.mktemp("artifacts")
+    """Run every registered experiment at smoke scale through the CLI.
+
+    The run fills a result cache next to the artifacts (``../cache``), which
+    the warm-pass tests re-run against.
+    """
+    root = tmp_path_factory.mktemp("smoke")
+    output_dir = root / "artifacts"
     stdout = io.StringIO()
     with redirect_stdout(stdout):
-        code = cli.main(["all", "--scale", "smoke", "--jobs", "0", "--output", str(output_dir)])
+        code = cli.main(
+            [
+                "all", "--scale", "smoke", "--jobs", "0",
+                "--cache-dir", str(root / "cache"), "--output", str(output_dir),
+            ]
+        )
     assert code == 0
     return output_dir
+
+
+def _must_not_run(*_args, **_kwargs):
+    raise AssertionError("a warm re-run must be served entirely from the cache")
+
+
+@pytest.fixture(scope="module")
+def smoke_cli_warm_run(smoke_cli_artifacts):
+    """Re-run ``all`` against the filled cache with every solver disabled.
+
+    Returns the warm run's artifact directory and its stdout.
+    """
+    from repro.core.measurement import MeasurementRunner
+    from repro.san.analytic import AnalyticSolver
+    from repro.san.solver import SimulativeSolver
+
+    output_dir = smoke_cli_artifacts.parent / "warm"
+    cache_dir = smoke_cli_artifacts.parent / "cache"
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(stdout):
+        patch.setattr(MeasurementRunner, "run", _must_not_run)
+        patch.setattr(SimulativeSolver, "solve", _must_not_run)
+        patch.setattr(AnalyticSolver, "solve", _must_not_run)
+        code = cli.main(
+            [
+                "all", "--scale", "smoke",
+                "--cache-dir", str(cache_dir), "--output", str(output_dir),
+            ]
+        )
+    assert code == 0
+    return output_dir, stdout.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -101,6 +143,48 @@ def test_written_reports_match_the_library_rendering_byte_for_byte(smoke_cli_art
         expected = render(run(smoke))
         # The writer guarantees exactly one trailing newline.
         assert written == (expected if expected.endswith("\n") else expected + "\n")
+
+
+def test_warm_rerun_serves_every_point_from_the_cache_with_the_cold_data(
+    smoke_cli_artifacts, smoke_cli_warm_run
+):
+    warm_dir, _stdout = smoke_cli_warm_run
+    for name in registry.names():
+        warm = json.loads((warm_dir / name / "result.json").read_text())
+        cold = json.loads((smoke_cli_artifacts / name / "result.json").read_text())
+        points = warm["manifest"]["points"]
+        assert points, f"{name}: no points"
+        assert all(point["cached"] for point in points), name
+        assert all(point["seconds"] == 0.0 for point in points), name
+        assert warm["data"] == cold["data"], name
+
+
+def test_cli_counts_cache_hits_on_stdout_but_not_in_the_report(
+    smoke_cli_artifacts, smoke_cli_warm_run
+):
+    warm_dir, stdout = smoke_cli_warm_run
+    lines = [line for line in stdout.splitlines() if "regenerated in" in line]
+    assert len(lines) == len(registry.names())
+    for name, line in zip(registry.names(), lines, strict=True):
+        points = RunManifest.from_json(
+            (warm_dir / name / "manifest.json").read_text()
+        ).points
+        assert re.fullmatch(
+            rf"\[{name} regenerated in [0-9.]+ s, {len(points)} of {len(points)} "
+            r"points from cache\]",
+            line,
+        ), line
+        report = (warm_dir / name / "report.txt").read_text()
+        assert "from cache" not in report
+        if name != "solvercompare":  # its report embeds wall-clock timings
+            assert report == (smoke_cli_artifacts / name / "report.txt").read_text()
+
+
+def test_cli_prints_no_cache_count_without_a_cache(capsys):
+    assert cli.main(["figure6", "--scale", "smoke"]) == 0
+    assert re.search(
+        r"^\[figure6 regenerated in [0-9.]+ s\]$", capsys.readouterr().out, re.MULTILINE
+    )
 
 
 def test_stdout_json_format_is_schema_valid(capsys):

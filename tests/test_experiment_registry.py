@@ -208,13 +208,22 @@ def test_manifest_scale_reflects_explicit_settings_not_stale_options(tiny_scale)
     assert run.manifest.settings_hash == tiny_settings().settings_hash()
 
 
-def test_composite_experiments_time_their_ad_hoc_stages(tiny_scale):
-    run = run_experiment(
-        registry.get("figure7b"), options=ExperimentOptions(scale=tiny_scale)
-    )
+def test_composite_experiments_time_their_ad_hoc_stages(tiny_scale, tmp_path):
+    options = ExperimentOptions(scale=tiny_scale, cache_dir=str(tmp_path))
+    run = run_experiment(registry.get("figure7b"), options=options)
     labels = [point.label for point in run.manifest.points]
-    # The inline measurement stage, the figure6 sub-sweep, and the t_send
+    # The measurement stage, the figure6 sub-sweep, and the t_send
     # candidate sweep must all appear in the manifest.
     assert "figure7b measure n=5" in labels
     assert any(label.startswith("figure6") for label in labels)
     assert any(label.startswith("figure7b t_send") for label in labels)
+    # The measurement is a cache point without seed indices: computed on a
+    # fresh cache, served from it on the second run.
+    (measure,) = [p for p in run.manifest.points if p.label == "figure7b measure n=5"]
+    assert measure.indices == ()
+    assert measure.cached is False
+    rerun = run_experiment(registry.get("figure7b"), options=options)
+    (measure,) = [p for p in rerun.manifest.points if p.label == "figure7b measure n=5"]
+    assert measure.cached is True
+    assert measure.seconds == 0.0
+    assert rerun.result.measured_latencies == run.result.measured_latencies

@@ -8,6 +8,9 @@ result for an exactly identical (point, seed, settings) triple.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
 from repro.experiments.figure7 import run_figure7a
@@ -42,6 +45,26 @@ def settings() -> ExperimentSettings:
 def _echo_point(tag: str, point_seed: int) -> tuple:
     """A trivial module-level point function (picklable for the pool)."""
     return (tag, point_seed)
+
+
+def _failing_point(tag: str, fail_flag: str, point_seed: int) -> tuple:
+    """Point ``c`` raises while the ``fail_flag`` file exists (workers see it too)."""
+    if tag == "c" and os.path.exists(fail_flag):
+        raise ArithmeticError(f"point {tag} failed")
+    return (tag, point_seed)
+
+
+def _flaky_plan(settings, fail_flag: str) -> ReplicationPlan:
+    points = tuple(
+        SweepPoint.make(
+            _failing_point,
+            kwargs={"tag": tag, "fail_flag": fail_flag},
+            indices=(98, index),
+            label=f"flaky {tag}",
+        )
+        for index, tag in enumerate("abcd")
+    )
+    return ReplicationPlan(settings=settings, points=points, name="flaky")
 
 
 def _plan(settings, tags=("a", "b", "c", "d")) -> ReplicationPlan:
@@ -267,3 +290,47 @@ def test_timing_hook_marks_cache_hits(settings, tmp_path):
     )
     assert len(seen) == len(plan.points)
     assert all(cached and seconds == 0.0 for seconds, cached in seen)
+
+
+# ----------------------------------------------------------------------
+# Failing points
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_failing_point_keeps_its_exception_type_and_names_itself(settings, jobs):
+    flag = __file__  # exists, so point c fails
+    plan = _flaky_plan(settings, flag)
+    with pytest.raises(ArithmeticError, match="point c failed") as caught:
+        list(iter_plan(plan, jobs=jobs))
+    if sys.version_info >= (3, 11):
+        seed = settings.point_seed(98, 2)
+        assert caught.value.__notes__ == [
+            f"while running point 'flaky c' of plan 'flaky' "
+            f"(indices (98, 2), seed {seed})"
+        ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_rerun_after_a_failed_point_resumes_from_the_cache(settings, tmp_path, jobs):
+    flag = tmp_path / "fail"
+    flag.write_text("")
+    cache = ResultCache(str(tmp_path / "cache"))
+    plan = _flaky_plan(settings, str(flag))
+    with pytest.raises(ArithmeticError):
+        list(iter_plan(plan, jobs=jobs, cache=cache))
+    flag.unlink()  # the fix
+    seen = []
+    results = [
+        result
+        for _point, result in iter_plan(
+            plan, jobs=jobs, cache=cache, timing_hook=lambda p, s, c: seen.append((p.label, c))
+        )
+    ]
+    assert results == execute_plan(plan, jobs=1)
+    # Serially, the points before the failure were cached; pooled, every
+    # point but the failing one had finished and was cached too.
+    assert seen == [
+        ("flaky a", True),
+        ("flaky b", True),
+        ("flaky c", False),
+        ("flaky d", jobs > 1),
+    ]
