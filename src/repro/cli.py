@@ -44,6 +44,7 @@ the same generators back the benchmark suite in ``benchmarks/``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -197,6 +198,12 @@ def main(argv: list[str] | None = None) -> int:
         settings = options.resolve_settings()
     except ValueError as error:
         parser.error(str(error))
+    if (
+        args.output is not None
+        and os.path.exists(args.output)
+        and not os.path.isdir(args.output)
+    ):
+        parser.error(f"--output {args.output!r} exists and is not a directory")
 
     names = registry.names() if args.experiment == "all" else [args.experiment]
     for name in names:

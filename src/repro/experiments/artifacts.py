@@ -31,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -255,6 +255,19 @@ _TYPE_CHECKS = {
 }
 
 
+class _Mismatch(Exception):
+    """A schema mismatch on its way up to :func:`validate_instance`.
+
+    It collects the path segments to the offending value (innermost
+    first) as it propagates, so a valid artifact formats no path at all.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.message = message
+        self.segments: List[str] = []
+
+
 def validate_instance(instance: Any, schema: Dict[str, Any], path: str = "$") -> None:
     """Validate ``instance`` against the subset of JSON Schema used here.
 
@@ -262,27 +275,46 @@ def validate_instance(instance: Any, schema: Dict[str, Any], path: str = "$") ->
     ``required``, ``properties``, ``items``.  Raises
     :class:`ArtifactValidationError` naming the offending path.
     """
+    try:
+        _validate(instance, schema)
+    except _Mismatch as mismatch:
+        where = path + "".join(reversed(mismatch.segments))
+        raise ArtifactValidationError(f"{where}: {mismatch.message}") from None
+
+
+def _validate(instance: Any, schema: Dict[str, Any]) -> None:
+    """:func:`validate_instance` without the path, which only a failure needs."""
     expected = schema.get("type")
     if expected is not None:
-        names = expected if isinstance(expected, list) else [expected]
-        if not any(_TYPE_CHECKS[name](instance) for name in names):
-            raise ArtifactValidationError(
-                f"{path}: expected type {'/'.join(names)}, got {type(instance).__name__}"
+        if isinstance(expected, list):
+            matches = any(_TYPE_CHECKS[name](instance) for name in expected)
+        else:
+            matches = _TYPE_CHECKS[expected](instance)
+        if not matches:
+            names = expected if isinstance(expected, list) else [expected]
+            raise _Mismatch(
+                f"expected type {'/'.join(names)}, got {type(instance).__name__}"
             )
     if "const" in schema and instance != schema["const"]:
-        raise ArtifactValidationError(
-            f"{path}: expected constant {schema['const']!r}, got {instance!r}"
-        )
+        raise _Mismatch(f"expected constant {schema['const']!r}, got {instance!r}")
     if isinstance(instance, dict):
         for name in schema.get("required", ()):
             if name not in instance:
-                raise ArtifactValidationError(f"{path}: missing required key {name!r}")
+                raise _Mismatch(f"missing required key {name!r}")
         for name, subschema in schema.get("properties", {}).items():
             if name in instance:
-                validate_instance(instance[name], subschema, f"{path}.{name}")
+                try:
+                    _validate(instance[name], subschema)
+                except _Mismatch as mismatch:
+                    mismatch.segments.append(f".{name}")
+                    raise
     if isinstance(instance, list) and "items" in schema:
         for index, item in enumerate(instance):
-            validate_instance(item, schema["items"], f"{path}[{index}]")
+            try:
+                _validate(item, schema["items"])
+            except _Mismatch as mismatch:
+                mismatch.segments.append(f"[{index}]")
+                raise
 
 
 def validate_artifact(payload: Dict[str, Any]) -> None:

@@ -41,19 +41,28 @@ class Figure6Result:
         return EmpiricalCDF(self.broadcast_delays_by_n[n_processes])
 
     def san_parameters(self, t_send_ms: float = 0.025) -> SANParameters:
-        """SAN network parameters derived from these measurements (§5.1)."""
-        return SANParameters.from_measured_delays(
-            unicast_delays=self.unicast_delays,
-            broadcast_delays_by_n={
-                n: delays for n, delays in self.broadcast_delays_by_n.items()
-            },
+        """SAN network parameters derived from these measurements (§5.1).
+
+        Equal to :meth:`SANParameters.from_measured_delays` over the same
+        delays, but reuses :attr:`unicast_fit` instead of fitting the
+        unicast samples again; only the broadcast curves are fitted here.
+        """
+        broadcast_fits = sorted(
+            (n, BimodalFit.from_samples(delays))
+            for n, delays in self.broadcast_delays_by_n.items()
+        )
+        return SANParameters(
             t_send_ms=t_send_ms,
+            t_receive_ms=t_send_ms,
+            unicast_fit=self.unicast_fit,
+            broadcast_fits=tuple(broadcast_fits),
         )
 
     def rows(self, probabilities: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)) -> List[Tuple[str, List[float]]]:
         """Quantile rows suitable for a textual rendering of Figure 6."""
+        unicast = self.unicast_cdf()
         rows: List[Tuple[str, List[float]]] = [
-            ("unicast", [self.unicast_cdf().quantile(p) for p in probabilities])
+            ("unicast", [unicast.quantile(p) for p in probabilities])
         ]
         for n, delays in sorted(self.broadcast_delays_by_n.items()):
             cdf = EmpiricalCDF(delays)

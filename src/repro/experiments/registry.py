@@ -330,6 +330,28 @@ class ExperimentOptions:
         )
 
 
+#: ``repr(settings)`` -> ``(settings_hash, JSON settings dump)``.  ``all``
+#: and library callers build an equal settings object per experiment, so
+#: the key is the value, not the object.  It is the value's repr rather
+#: than the settings themselves because equal settings can dump
+#: differently: a timeout of ``1`` equals ``1.0`` but not in JSON.
+_SETTINGS_IDENTITY: Dict[str, Tuple[str, Dict[str, Any]]] = {}
+
+
+def _settings_identity(settings: ExperimentSettings) -> Tuple[str, Dict[str, Any]]:
+    """``(settings_hash, JSON dump)`` of ``settings``, computed once per value.
+
+    Every manifest of equal settings shares the one dump, which nothing
+    mutates (:meth:`RunManifest.to_dict` copies it).
+    """
+    spelling = repr(settings)
+    identity = _SETTINGS_IDENTITY.get(spelling)
+    if identity is None:
+        identity = (settings.settings_hash(), json_safe(asdict(settings)))
+        _SETTINGS_IDENTITY[spelling] = identity
+    return identity
+
+
 @dataclass
 class ExperimentRun:
     """One executed experiment: its result object plus run provenance."""
@@ -388,13 +410,14 @@ def run_experiment(
     started = time.perf_counter()  # repro: ignore[DET004] elapsed-time metadata only; never feeds simulation state or results
     result = spec.execute(context)
     wall_clock = time.perf_counter() - started  # repro: ignore[DET004] elapsed-time metadata only; never feeds simulation state or results
+    settings_hash, settings_dump = _settings_identity(settings)
     manifest = RunManifest(
         experiment=spec.name,
         scale=scale,
         seed=settings.seed,
         jobs=options.jobs,
-        settings_hash=settings.settings_hash(),
-        settings=json_safe(asdict(settings)),
+        settings_hash=settings_hash,
+        settings=settings_dump,
         started_at=started_at,
         wall_clock_seconds=wall_clock,
         points=tuple(context.timings),

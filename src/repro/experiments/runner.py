@@ -41,6 +41,7 @@ import os
 import pickle
 import tempfile
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
@@ -88,8 +89,9 @@ class SeedSettings(Protocol):
 #: previously cached point results.
 # Bump whenever cached results become incomparable with freshly computed
 # ones -- e.g. version 2: the SAN executor's per-activity RNG streams
-# changed every fixed-seed simulative result.
-CACHE_FORMAT_VERSION = 2
+# changed every fixed-seed simulative result; version 3: trace events
+# became named tuples and event logs pickle as plain rows.
+CACHE_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -282,17 +284,45 @@ def _execute_payload(
     return time.perf_counter() - started, result  # repro: ignore[DET004] elapsed-time metadata only; never feeds simulation state or results
 
 
+class _RemoteTraceback(Exception):
+    """A pooled point's worker-side traceback, chained as its error's cause."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+class _PointFailure:
+    """The outcome of a pooled point that raised: its error and traceback text."""
+
+    def __init__(self, error: Exception, traceback_text: str) -> None:
+        self.error = error
+        self.traceback_text = traceback_text
+
+    def error_with_cause(self) -> Exception:
+        """The point's own exception, with the worker traceback as its cause."""
+        self.error.__cause__ = _RemoteTraceback(self.traceback_text)
+        return self.error
+
+
 def _execute_group_payload(
     payloads: List[Tuple[Callable[..., Any], Dict[str, Any]]],
-) -> List[Tuple[float, Any]]:
+) -> List[Any]:
     """Run several points in one worker submission (module-level, picklable).
 
     One pickled submission and one result message cover the whole group,
     but each point's wall clock is still measured individually inside the
     worker -- grouping changes the submission envelope only, never the
-    per-point timing (or caching) bookkeeping.
+    per-point timing (or caching) bookkeeping.  Each point reports its own
+    outcome -- ``(seconds, result)`` or a :class:`_PointFailure` -- so one
+    that raises costs the group none of its other results.
     """
-    return [_execute_payload(payload) for payload in payloads]
+    outcomes: List[Any] = []
+    for payload in payloads:
+        try:
+            outcomes.append(_execute_payload(payload))
+        except Exception as error:
+            outcomes.append(_PointFailure(error, traceback.format_exc()))
+    return outcomes
 
 
 def _note_failing_point(
@@ -345,9 +375,8 @@ def iter_plan(
     naming the plan, point, indices and seed where ``add_note`` exists.
     With a cache, every other point that finished successfully is written
     to it first -- on the pooled path that includes points after the
-    failing one -- so a re-run with the same cache resumes.  A group is one
-    submission, so a failing point also loses the earlier points of its own
-    group (none at the default ``group_size=1``).
+    failing one, in its own group or later ones -- so a re-run with the
+    same cache resumes.
     """
     jobs = resolve_jobs(jobs)
     if group_size < 1:
@@ -431,19 +460,25 @@ def iter_plan(
             else:
                 future, offset = futures[index]
                 try:
-                    seconds, result = future.result()[offset]
+                    outcome = future.result()[offset]
+                    if isinstance(outcome, _PointFailure):
+                        raise outcome.error_with_cause()
                 except Exception as error:
                     if cache is not None:
                         # Wait for the points still running and keep every
                         # one that succeeded, so a re-run resumes.
                         for later in pending:
                             later_future, later_offset = futures[later]
-                            if later > index and later_future.exception() is None:
+                            if later <= index or later_future.exception() is not None:
+                                continue
+                            later_outcome = later_future.result()[later_offset]
+                            if not isinstance(later_outcome, _PointFailure):
                                 key = keys[later]
                                 assert key is not None
-                                cache.put(key, later_future.result()[later_offset][1])
+                                cache.put(key, later_outcome[1])
                     _note_failing_point(error, plan, point)
                     raise
+                seconds, result = outcome
                 yield finish(index, point, seconds, result)
     finally:
         if owned:

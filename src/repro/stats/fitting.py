@@ -46,16 +46,18 @@ def fit_bimodal_uniform(
     BimodalUniform
         The fitted distribution.
     """
-    data = np.asarray(sorted(float(x) for x in samples), dtype=float)
+    # A stable sort orders ties (0.0 and -0.0 included) as ``sorted()``
+    # would, so the fit is bit-identical to one over a sorted list.
+    data = np.sort(np.asarray(samples, dtype=float), kind="stable")
     if data.size < 10:
         raise ValueError(
             f"need at least 10 samples to fit a bi-modal uniform, got {data.size}"
         )
     if not 0.0 < body_probability < 1.0:
         raise ValueError("body_probability must be in (0, 1)")
-    low_clip = float(np.quantile(data, lower_quantile))
-    high_clip = float(np.quantile(data, upper_quantile))
-    split = float(np.quantile(data, body_probability))
+    low_clip, high_clip, split = map(
+        float, np.quantile(data, [lower_quantile, upper_quantile, body_probability])
+    )
     body = data[(data >= low_clip) & (data <= split)]
     tail = data[(data > split) & (data <= high_clip)]
     if body.size == 0 or tail.size == 0:

@@ -24,7 +24,9 @@ explicitly requested, so enabling it cannot perturb simulation results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from itertools import repeat
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.cluster.message import Message
@@ -43,9 +45,13 @@ TIMER = "timer"
 KINDS = (SEND, RECEIVE, DROP, CRASH, RECOVER, TIMER)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One normalized event of a replication's event log.
+
+    A :class:`~typing.NamedTuple` rather than a dataclass: a traced
+    replication holds thousands of events, and a pickled
+    :class:`EventLog` rebuilds them without a Python call per event, so
+    loading a cached replication stays cheap.
 
     Attributes
     ----------
@@ -108,6 +114,10 @@ class EventLog:
 
     entries: List[TraceEvent] = field(default_factory=list)
 
+    def __reduce__(self) -> Tuple[Any, Tuple[List[Tuple[Any, ...]]]]:
+        """Pickle the entries as plain row tuples (see :func:`_log_from_rows`)."""
+        return _log_from_rows, (list(map(tuple, self.entries)),)
+
     def append(self, event: TraceEvent) -> None:
         """Append one event (any time order; sorting happens on read)."""
         self.entries.append(event)
@@ -118,7 +128,7 @@ class EventLog:
 
     def events(self) -> List[TraceEvent]:
         """All events sorted stably by time."""
-        return sorted(self.entries, key=lambda event: event.time_ms)
+        return sorted(self.entries, key=attrgetter("time_ms"))
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """The events of one kind, in time order."""
@@ -141,6 +151,15 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _log_from_rows(rows: List[Tuple[Any, ...]]) -> EventLog:
+    """Rebuild an :class:`EventLog` from its pickled rows.
+
+    ``tuple.__new__`` turns each row into a :class:`TraceEvent` in C, so
+    unpickling a log calls no Python function per event.
+    """
+    return EventLog(list(map(tuple.__new__, repeat(TraceEvent), rows)))
 
 
 def _drop_process(message: "Message", stage: str) -> int:

@@ -13,10 +13,10 @@ reconstructs the Lamport happens-before partial order:
   this explicit state edge is what lets a causal slice reach the
   injected fault behind a detection-time outlier).
 
-Each node is annotated with a vector clock (one component per process),
-and :meth:`HappensBeforeGraph.causal_past` computes the backward causal
-slice from any anchor event -- e.g. the first wrong suspicion or a
-latency outlier's deciding receive.
+Each node is annotated with a vector clock (one component per process,
+computed on first use), and :meth:`HappensBeforeGraph.causal_past`
+computes the backward causal slice from any anchor event -- e.g. the
+first wrong suspicion or a latency outlier's deciding receive.
 
 Duplicated copies injected by the fault layer carry fresh ``msg_id``\\ s
 with no matching ``send``; they receive no message edge (their
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.traces.events import (
@@ -52,9 +53,6 @@ class HappensBeforeGraph:
         and every edge points from a lower to a higher index.
     predecessors / successors:
         Adjacency lists of the direct happens-before edges.
-    vector_clocks:
-        One clock per node: component *p* counts the events at process
-        *p* in the node's causal past (inclusive).
     n_processes:
         Number of vector-clock components.
     """
@@ -62,8 +60,28 @@ class HappensBeforeGraph:
     events: List[TraceEvent]
     predecessors: List[List[int]]
     successors: List[List[int]]
-    vector_clocks: List[Tuple[int, ...]]
     n_processes: int
+
+    @cached_property
+    def vector_clocks(self) -> List[Tuple[int, ...]]:
+        """One clock per node, computed on first use.
+
+        Component *p* counts the events at process *p* in the node's
+        causal past (inclusive).  Clocks are built in index order, since
+        every edge points forward.
+        """
+        zero = (0,) * self.n_processes
+        clocks: List[Tuple[int, ...]] = []
+        for index, event in enumerate(self.events):
+            clock = list(zero)
+            for pred in self.predecessors[index]:
+                for component, value in enumerate(clocks[pred]):
+                    if value > clock[component]:
+                        clock[component] = value
+            if 0 <= event.process < self.n_processes:
+                clock[event.process] += 1
+            clocks.append(tuple(clock))
+        return clocks
 
     # ------------------------------------------------------------------
     def causal_past(self, anchor: int) -> List[int]:
@@ -150,7 +168,7 @@ def _infer_n_processes(events: Sequence[TraceEvent]) -> int:
 
 
 def build_hb_graph(log: EventLog, n_processes: Optional[int] = None) -> HappensBeforeGraph:
-    """Build the happens-before DAG (with vector clocks) of ``log``.
+    """Build the happens-before DAG of ``log``.
 
     ``n_processes`` sizes the vector clocks; when omitted it is inferred
     from the highest process id appearing in the log.
@@ -198,23 +216,9 @@ def build_hb_graph(log: EventLog, n_processes: Optional[int] = None) -> HappensB
                 if position >= 0:
                     add_edge(history[position][1], index)
 
-    # Vector clocks, in index order (every edge points forward).
-    zero = (0,) * n_processes
-    vector_clocks: List[Tuple[int, ...]] = []
-    for index, event in enumerate(events):
-        clock = list(zero)
-        for pred in predecessors[index]:
-            for component, value in enumerate(vector_clocks[pred]):
-                if value > clock[component]:
-                    clock[component] = value
-        if 0 <= event.process < n_processes:
-            clock[event.process] += 1
-        vector_clocks.append(tuple(clock))
-
     return HappensBeforeGraph(
         events=events,
         predecessors=predecessors,
         successors=successors,
-        vector_clocks=vector_clocks,
         n_processes=n_processes,
     )

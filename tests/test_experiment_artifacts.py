@@ -180,6 +180,50 @@ def test_cli_counts_cache_hits_on_stdout_but_not_in_the_report(
             assert report == (smoke_cli_artifacts / name / "report.txt").read_text()
 
 
+def test_a_warm_all_pass_hashes_settings_once_and_refits_nothing_twice(
+    smoke_cli_artifacts, monkeypatch
+):
+    from repro.sanmodels import parameters
+
+    calls = {"settings_hash": 0, "fit": 0}
+    settings_hash = ExperimentSettings.settings_hash
+    fit = parameters.fit_bimodal_uniform
+
+    def counting_settings_hash(self):
+        calls["settings_hash"] += 1
+        return settings_hash(self)
+
+    def counting_fit(*args, **kwargs):
+        calls["fit"] += 1
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(ExperimentSettings, "settings_hash", counting_settings_hash)
+    monkeypatch.setattr(parameters, "fit_bimodal_uniform", counting_fit)
+    monkeypatch.setattr(registry, "_SETTINGS_IDENTITY", {})
+    cache_dir = smoke_cli_artifacts.parent / "cache"
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["all", "--scale", "smoke", "--cache-dir", str(cache_dir)]) == 0
+    # One settings value for all ten experiments.  Fits: figure6's unicast
+    # curve once per experiment that reads figure 6 (figure6, figure7b,
+    # means), plus the two broadcast curves for figure7b's and means' SAN
+    # parameters.
+    assert calls["settings_hash"] == 1
+    assert calls["fit"] <= 7
+
+
+def test_output_naming_a_file_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
+    conflict = tmp_path / "occupied"
+    conflict.write_text("a file")
+    monkeypatch.setattr(registry, "run_experiment", _must_not_run)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["figure6", "--scale", "smoke", "--output", str(conflict)])
+    assert exit_info.value.code == 2
+    assert f"--output {str(conflict)!r} exists and is not a directory" in (
+        capsys.readouterr().err
+    )
+    assert conflict.read_text() == "a file"
+
+
 def test_cli_prints_no_cache_count_without_a_cache(capsys):
     assert cli.main(["figure6", "--scale", "smoke"]) == 0
     assert re.search(
@@ -213,6 +257,32 @@ def test_validator_rejects_wrong_types_with_a_path():
     schema = {"type": "object", "properties": {"x": {"type": "integer"}}}
     with pytest.raises(ArtifactValidationError, match=r"\$\.x"):
         validate_instance({"x": "not-an-int"}, schema)
+
+
+def test_validator_names_the_full_path_of_a_nested_mismatch():
+    payload = {
+        "schema": "repro.experiment-artifact/v1",
+        "experiment": "figure6",
+        "description": "",
+        "data": {},
+        "manifest": {
+            **RunManifest(
+                experiment="figure6", scale="smoke", seed=1, jobs=1, settings_hash="h",
+                settings={}, started_at="", wall_clock_seconds=0.0,
+                points=(PointTiming("p", (1,), 0.0), PointTiming("q", (2,), 0.0)),
+            ).to_dict(),
+        },
+    }
+    validate_artifact(payload)
+    payload["manifest"]["points"][1]["indices"] = [2, "x"]
+    with pytest.raises(ArtifactValidationError) as caught:
+        validate_artifact(payload)
+    assert str(caught.value) == (
+        "$.manifest.points[1].indices[1]: expected type integer, got str"
+    )
+    with pytest.raises(ArtifactValidationError) as caught:
+        validate_instance([{}], {"type": "array", "items": {"required": ["k"]}}, path="$.top")
+    assert str(caught.value) == "$.top[0]: missing required key 'k'"
 
 
 def test_validator_rejects_wrong_schema_constant():

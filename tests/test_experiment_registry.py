@@ -10,6 +10,8 @@ registering a preset is all a new scale needs to become CLI-selectable.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import cli
@@ -227,3 +229,21 @@ def test_composite_experiments_time_their_ad_hoc_stages(tiny_scale, tmp_path):
     assert measure.cached is True
     assert measure.seconds == 0.0
     assert rerun.result.measured_latencies == run.result.measured_latencies
+
+
+def test_manifest_settings_identity_follows_the_value_not_the_object():
+    trivial = ExperimentSpec(
+        name="trivial", description="d", render_text=str,
+        to_record=lambda result: {}, run=lambda context: "ok",
+    )
+    integral = replace(tiny_settings(), timeouts_ms=(2,))
+    runs = [
+        run_experiment(trivial, settings=settings)
+        for settings in (tiny_settings(), tiny_settings(), integral)
+    ]
+    hashes = [run.manifest.settings_hash for run in runs]
+    assert hashes[:2] == [tiny_settings().settings_hash()] * 2
+    # Equal to the float spelling, but it dumps (and hashes) differently.
+    assert integral == tiny_settings()
+    assert hashes[2] == integral.settings_hash() != hashes[0]
+    assert runs[2].manifest.settings["timeouts_ms"] == [2]

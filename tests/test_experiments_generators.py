@@ -21,6 +21,7 @@ from repro.experiments.figure7 import (
 from repro.experiments.figure8 import format_figure8, run_figure8
 from repro.experiments.figure9 import format_figure9, run_figure9
 from repro.experiments.table1 import SCENARIOS, format_table1, run_table1
+from repro.sanmodels.parameters import SANParameters
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,13 @@ def test_figure6_generator_and_report(settings):
     assert result.broadcast_cdf(3).mean() > result.unicast_cdf().mean()
     params = result.san_parameters()
     assert params.unicast_fit.low1 > 0
+    # Reusing the result's own unicast fit changes nothing.
+    assert params == SANParameters.from_measured_delays(
+        result.unicast_delays, result.broadcast_delays_by_n
+    )
+    assert result.san_parameters(t_send_ms=0.01) == SANParameters.from_measured_delays(
+        result.unicast_delays, result.broadcast_delays_by_n, t_send_ms=0.01
+    )
     report = format_figure6(result)
     assert "unicast" in report and "broadcast to 3" in report
 

@@ -334,3 +334,16 @@ def test_a_rerun_after_a_failed_point_resumes_from_the_cache(settings, tmp_path,
         ("flaky c", False),
         ("flaky d", jobs > 1),
     ]
+
+
+def test_a_failing_point_in_a_pooled_group_keeps_the_points_before_it(settings, tmp_path):
+    # Points a, b, c share one submission; c raises, d runs in its own group.
+    cache = ResultCache(str(tmp_path / "cache"))
+    plan = _flaky_plan(settings, __file__)
+    with pytest.raises(ArithmeticError, match="point c failed") as caught:
+        list(iter_plan(plan, jobs=2, cache=cache, group_size=3))
+    assert "point c failed" in str(caught.value.__cause__)  # the worker traceback
+    if sys.version_info >= (3, 11):
+        assert caught.value.__notes__[0].startswith("while running point 'flaky c'")
+    hits = [cache.get(ResultCache.key(point, settings))[0] for point in plan.points]
+    assert hits == [True, True, False, True]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.stats.distributions import BimodalUniform
 from repro.stats.fitting import fit_bimodal_uniform
@@ -51,3 +52,58 @@ def test_fit_handles_nearly_constant_data():
     fitted = fit_bimodal_uniform(samples)
     assert fitted.low1 == pytest.approx(0.2, abs=1e-3)
     assert fitted.high2 == pytest.approx(0.2, abs=1e-3)
+
+
+def _three_call_fit(samples, body_probability=0.8, lower_quantile=0.01, upper_quantile=0.99):
+    """The fit as first written (a ``sorted()`` list, one quantile call each)."""
+    data = np.asarray(sorted(float(x) for x in samples), dtype=float)
+    low_clip = float(np.quantile(data, lower_quantile))
+    high_clip = float(np.quantile(data, upper_quantile))
+    split = float(np.quantile(data, body_probability))
+    body = data[(data >= low_clip) & (data <= split)]
+    tail = data[(data > split) & (data <= high_clip)]
+    if body.size == 0 or tail.size == 0:
+        split = float(np.median(data))
+        body = data[data <= split]
+        tail = data[data > split]
+    low1, high1 = float(body.min()), float(body.max())
+    low2, high2 = float(tail.min()), float(tail.max())
+    if high1 <= low1:
+        high1 = low1 + 1e-9
+    if high2 <= low2:
+        high2 = low2 + 1e-9
+    if low2 < high1:
+        low2 = high1
+        if high2 <= low2:
+            high2 = low2 + 1e-9
+    return low1, high1, low2, high2
+
+
+def _outcome(fit, *args, **kwargs):
+    """The fitted bounds as exact bit patterns, or the error raised."""
+    try:
+        bounds = fit(*args, **kwargs)
+    except Exception as error:  # compared, not swallowed
+        return type(error), str(error)
+    if isinstance(bounds, BimodalUniform):
+        bounds = (bounds.low1, bounds.high1, bounds.low2, bounds.high2)
+    return tuple(float(value).hex() for value in bounds)
+
+
+#: Delays drawn from a few repeated values (ties, signed zeros) and from a
+#: continuous range, so both the regular and the degenerate split occur.
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.13, 0.145, 0.35, 1.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    samples=st.lists(_DELAYS, min_size=10, max_size=2000),
+    body_probability=st.sampled_from([0.5, 0.6, 0.8, 0.95]),
+)
+def test_fit_is_bit_identical_to_the_three_call_formula(samples, body_probability):
+    expected = _outcome(_three_call_fit, samples, body_probability=body_probability)
+    fitted = _outcome(fit_bimodal_uniform, samples, body_probability=body_probability)
+    assert fitted == expected

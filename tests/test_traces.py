@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.measurement import MeasurementConfig, MeasurementResult, MeasurementRunner
 from repro.core.scenarios import Scenario
@@ -25,6 +27,7 @@ from repro.traces import (
     feature_matrix,
     featurize_measurement,
 )
+from repro.traces.events import KINDS
 
 
 # ----------------------------------------------------------------------
@@ -378,3 +381,65 @@ def test_diff_truncates_to_the_largest_deltas_but_stays_chronological():
         "send t7 p0->p1", "send t8 p0->p1", "send t9 p0->p1",
     ]
     assert "more differences" not in diff.render_text(limit=3)
+
+
+# ----------------------------------------------------------------------
+# Compact events: pickled logs and clocks computed on first use
+# ----------------------------------------------------------------------
+_PROCESSES = 4
+
+#: Events with every optional field either set or ``None``, drop-style
+#: details, and times drawn from a few values so ties are common.
+_EVENTS = st.builds(
+    TraceEvent,
+    kind=st.sampled_from(KINDS),
+    time_ms=st.sampled_from([0.0, 1.0, 2.5, 7.25]) | st.floats(0.0, 50.0),
+    process=st.integers(0, _PROCESSES - 1),
+    msg_id=st.none() | st.integers(0, 8),
+    parent_id=st.none() | st.integers(0, 8),
+    msg_type=st.none() | st.sampled_from(["estimate", "ack", "heartbeat"]),
+    sender=st.none() | st.integers(0, _PROCESSES - 1),
+    destination=st.none() | st.integers(0, _PROCESSES - 1),
+    peer=st.none() | st.integers(0, _PROCESSES - 1),
+    detail=st.sampled_from(["", "send:loss", "wire:partition", "suspect", "trust"]),
+)
+
+
+def _log_of(events) -> EventLog:
+    log = EventLog()
+    log.extend(events)
+    return log
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_EVENTS, max_size=40))
+def test_event_logs_pickle_as_rows_and_round_trip_exactly(events):
+    log = _log_of(events)
+    blob = pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL)
+    loaded = pickle.loads(blob)
+    assert loaded.entries == log.entries
+    assert all(type(event) is TraceEvent for event in loaded.entries)
+    assert loaded.events() == log.events()
+    assert loaded.to_records() == log.to_records()
+    if events:
+        # The events travel as plain rows, not as pickled TraceEvent objects.
+        assert b"TraceEvent" not in blob
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_EVENTS, max_size=40))
+def test_hb_vector_clocks_are_computed_on_first_use(events):
+    graph = build_hb_graph(_log_of(events), n_processes=_PROCESSES)
+    pasts = [graph.causal_past(node) for node in range(len(graph.events))]
+    graph.find_first(kind=TIMER, detail="suspect")
+    assert "vector_clocks" not in vars(graph)  # slicing never pays for clocks
+    # Component p of a clock counts the p-events in the node's causal past.
+    eager = [
+        tuple(
+            sum(1 for index in past if graph.events[index].process == process)
+            for process in range(_PROCESSES)
+        )
+        for past in pasts
+    ]
+    assert graph.vector_clocks == eager
+    assert "vector_clocks" in vars(graph)
