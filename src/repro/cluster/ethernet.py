@@ -58,7 +58,7 @@ class EthernetHub:
         wire_time = self.frame_time(message.size_bytes) + self.params.hub_latency_ms
         if self.wire_time_hook is not None:
             wire_time += max(0.0, float(self.wire_time_hook(message, self.sim.now)))
-        self.medium.request(wire_time, self._transmitted, message, on_done)
+        self.medium._serve(wire_time, self._transmitted, (message, on_done))
 
     def frame_time(self, payload_bytes: int) -> float:
         """Time (ms) a frame with the given payload occupies the medium."""

@@ -105,14 +105,17 @@ class Host:
         """Occupy this host's CPU for ``duration`` ms, then call ``callback``."""
         if self.cpu_load is not None:
             duration *= float(self.cpu_load(self.sim.now))
-        self.cpu.request(duration, callback, *args)
+        # Nobody receives the request, so the CPU queues it without one.
+        self.cpu._serve(duration, callback, args)
 
     def sleep(
         self, requested_ms: float, callback: Callable[..., None], *args: object
     ) -> None:
         """Schedule ``callback`` after a nominal sleep subject to OS effects."""
         actual = self.scheduler.effective_sleep(requested_ms)
-        self.sim.schedule(actual, callback, *args)
+        # A sleep is never cancelled, so its calendar entry needs no handle.
+        sim = self.sim
+        sim._push(sim.now + actual, 0, callback, args)
 
     def __repr__(self) -> str:
         state = "crashed" if self.crashed else "up"

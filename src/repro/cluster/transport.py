@@ -192,10 +192,12 @@ class Transport:
         self.hub.transmit(message, self._after_wire)
 
     def _after_wire(self, message: Message) -> None:
+        sim = self.sim
         stack_latency = self._sample_stack_latency()
         if self.injector is not None:
-            stack_latency += self.injector.stack_extra_delay(message, self.sim.now)
-        self.sim.schedule(stack_latency, self._after_stack, message)
+            stack_latency += self.injector.stack_extra_delay(message, sim.now)
+        # The stack delay is never cancelled, so its entry needs no handle.
+        sim._push(sim.now + stack_latency, 0, self._after_stack, (message,))
 
     def _after_stack(self, message: Message) -> None:
         destination_host = self.hosts[message.destination]

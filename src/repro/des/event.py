@@ -1,10 +1,13 @@
 """Scheduled events.
 
-An :class:`Event` couples a firing time with a callback.  Events are
-orderable so that the scheduler can keep them in a heap: ordering is by
-time, then priority, then a monotonically increasing sequence number which
-guarantees deterministic FIFO tie-breaking for events scheduled at the same
-instant.
+An :class:`Event` is the handle of one calendar entry: it couples a firing
+time with a callback and lets its holder :meth:`~Event.cancel` the entry.
+The simulator builds one only for a caller that receives it (the public
+``schedule*`` calls) or, for an entry scheduled without one, for a trace
+hook that watches it fire.  Events are orderable in the calendar's own
+order: by time, then priority, then a monotonically increasing sequence
+number which guarantees deterministic FIFO tie-breaking for events
+scheduled at the same instant.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ class Event:
 
     Instances are created by :meth:`repro.des.simulator.Simulator.schedule`
     and friends; user code normally only holds on to an event in order to
-    :meth:`cancel` it.
+    :meth:`cancel` it.  Cancelling only marks the event; the simulator
+    discards its calendar entry when the entry reaches the front.
 
     Parameters
     ----------

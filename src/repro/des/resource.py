@@ -79,6 +79,9 @@ class Request:
         )
 
 
+_Waiting = tuple[float, Callable[..., Any], tuple[Any, ...], float, Optional[Request]]
+
+
 class Resource:
     """A fixed-capacity FIFO server.
 
@@ -98,7 +101,10 @@ class Resource:
         self.sim = sim
         self.name = name
         self.capacity = capacity
-        self._queue: Deque[Request] = deque()
+        # Waiting services: ``(service_time, callback, args, submitted_at,
+        # request)``, where ``request`` is ``None`` unless a caller of
+        # :meth:`request` holds it.
+        self._queue: Deque[_Waiting] = deque()
         self._in_service = 0
         self.stats = ResourceStats()
 
@@ -111,7 +117,9 @@ class Resource:
     @property
     def queue_length(self) -> int:
         """Number of requests waiting (not yet in service)."""
-        return sum(1 for request in self._queue if not request.cancelled)
+        return sum(
+            1 for *_, request in self._queue if request is None or not request.cancelled
+        )
 
     @property
     def in_service(self) -> int:
@@ -129,51 +137,77 @@ class Resource:
 
         ``callback(*args)`` is invoked when the service completes.  The
         request starts immediately if capacity is available, otherwise it
-        waits in FIFO order.
+        waits in FIFO order.  The returned :class:`Request` may be
+        cancelled while it waits.
+        """
+        request = Request(float(service_time), callback, args, self.sim.now)
+        self._serve(request.service_time, callback, args, request)
+        return request
+
+    def _serve(
+        self,
+        service_time: float,
+        callback: Callable[..., Any],
+        args: tuple[Any, ...],
+        request: Optional[Request] = None,
+    ) -> None:
+        """Queue ``service_time`` units of service, then ``callback(*args)``.
+
+        The one queue of the resource, shared by :meth:`request` and by the
+        kernel's own callers (host CPUs, the Ethernet medium), which need no
+        :class:`Request` and pass a float ``service_time`` and ``request=None``.
         """
         if service_time < 0:
             raise ValueError(f"service_time must be >= 0, got {service_time}")
-        now = self.sim.now
-        request = Request(float(service_time), callback, args, now)
         stats = self.stats
         stats.requests += 1
         queue = self._queue
         if not queue and self._in_service < self.capacity:
             # Idle resource, nothing queued: start service directly.  This is
-            # the same single calendar entry the queued path schedules, so
+            # the same single calendar entry the queued path pushes, so
             # sequence numbers do not move; the request counts as having
             # been queued (length 1) for zero time.
             if stats.max_queue_length < 1:
                 stats.max_queue_length = 1
-            request.started_at = now
+            sim = self.sim
+            if request is not None:
+                request.started_at = sim.now
             self._in_service += 1
-            self.sim.schedule(request.service_time, self._complete, request)
-            return request
-        queue.append(request)
+            sim._push(
+                sim.now + service_time, 0, self._complete, (service_time, callback, args)
+            )
+            return
+        queue.append((service_time, callback, args, self.sim.now, request))
         if len(queue) > stats.max_queue_length:
             stats.max_queue_length = len(queue)
         if self._in_service < self.capacity:
             # Only reachable from inside a completion callback, which runs
             # after the finished request has released its unit.
             self._dispatch()
-        return request
 
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        while self._in_service < self.capacity and self._queue:
-            request = self._queue.popleft()
-            if request.cancelled:
-                continue
-            request.started_at = self.sim.now
-            self.stats.total_wait += request.started_at - request.submitted_at
+        queue = self._queue
+        sim = self.sim
+        while self._in_service < self.capacity and queue:
+            service_time, callback, args, submitted_at, request = queue.popleft()
+            now = sim.now
+            if request is not None:
+                if request.cancelled:
+                    continue
+                request.started_at = now
+            self.stats.total_wait += now - submitted_at
             self._in_service += 1
-            self.sim.schedule(request.service_time, self._complete, request)
+            sim._push(now + service_time, 0, self._complete, (service_time, callback, args))
 
-    def _complete(self, request: Request) -> None:
+    def _complete(
+        self, service_time: float, callback: Callable[..., Any], args: tuple[Any, ...]
+    ) -> None:
         self._in_service -= 1
-        self.stats.completed += 1
-        self.stats.busy_time += request.service_time
-        request.callback(*request.args)
+        stats = self.stats
+        stats.completed += 1
+        stats.busy_time += service_time
+        callback(*args)
         if self._queue:
             self._dispatch()
 

@@ -1,42 +1,57 @@
 """The discrete-event simulation loop.
 
-The :class:`Simulator` owns a virtual clock and a priority queue of
-:class:`~repro.des.event.Event` objects.  Time only advances when the next
-event is dequeued; callbacks run instantaneously in virtual time and may
-schedule further events.
+The :class:`Simulator` owns a virtual clock and a calendar of scheduled
+callbacks.  Time only advances when the next entry is dequeued; callbacks
+run instantaneously in virtual time and may schedule further entries.
 
 Calendar representation
 -----------------------
-The heap holds ``(time, priority, seq, event)`` tuples rather than bare
-:class:`Event` objects: tuple comparison happens entirely in C, so the
-``heappush``/``heappop`` traffic of the hot loop never calls back into
-``Event.__lt__``.  The ordering is identical (time, then priority, then the
-monotonically increasing sequence number).  Cancellation stays O(1): a
-cancelled event is only marked, and its heap entry is discarded lazily when
-it reaches the front of the queue.
+The calendar is a heap of ``(time, priority, seq, callback, args, handle)``
+tuples: each entry stores what fires, not an object wrapping it.  Tuple
+comparison runs entirely in C and never looks past ``seq``, which is unique,
+so the order is time, then priority, then the monotonically increasing
+sequence number handed out by the one private push, ``_push``, in the order
+entries are pushed.
+
+``handle`` is an :class:`~repro.des.event.Event` only for entries whose
+caller receives one: :meth:`Simulator.schedule`, :meth:`Simulator.schedule_at`
+and :meth:`Simulator.call_now` (hence ``SimProcess.set_timer`` and the SAN
+executor oracle).  The kernel's own traffic pushes ``None``: a
+:class:`~repro.des.resource.Resource` service start, the transport's
+protocol-stack delay and ``Host.sleep``.  An entry without a handle cannot
+be cancelled, so it is always live.  A cancelled handle is only marked, and
+its entry is discarded lazily when it reaches the front of the heap.  A
+trace hook sees every entry fire: an entry without a handle is shown to it
+as an :class:`Event` built at that moment in state ``FIRED``.
 
 Contract of the fast paths
 --------------------------
-The hot path is kept lean without moving a single calendar entry.
-:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` hand their
-positional arguments straight to one push, with the past-time check and
-the ``(time, priority, seq, event)`` heap tuple described above.  A
-:class:`~repro.des.resource.Resource` that is idle with an empty queue
-starts a request directly, but still makes exactly one ``schedule`` call
-per service start, at the same moment the queued path would, so sequence
-numbers -- and with them the order of same-time events -- are unchanged.  A random stream may be drawn in blocks
-(``rng.random(k)``) only if it has exactly one consumer: that consumer then
-sees the same doubles in the same order as scalar draws, and nobody else
-can observe that the generator ran ahead.
+No fast path moves a calendar entry.  Every entry, with or without a handle,
+takes its ``seq`` from the same counter at the moment it is pushed, and a
+caller pushes it at the same moment and with the same ``(time, priority)``
+as the public ``schedule`` call it replaces would, so the order of
+same-time entries -- and ``events_processed`` -- are those of a calendar
+made only of ``schedule`` calls.  A :class:`~repro.des.resource.Resource`
+makes exactly one push per service start, whether the request found it
+idle or waited in its queue.  ``pending_events`` is derived from three
+counters (pushes, fired entries, cancelled handles) rather than updated per
+entry.  A random stream may be drawn in blocks (``rng.random(k)``) only if
+it has exactly one consumer: that consumer then sees the same doubles in the
+same order as scalar draws, and nobody else can observe that the generator
+ran ahead.
 """
 
 from __future__ import annotations
 
-import heapq
+import sys
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.des.event import Event, EventState
 from repro.des.random import RandomStreams
+
+#: One calendar entry: ``(time, priority, seq, callback, args, handle)``.
+Entry = tuple[float, int, int, Callable[..., Any], tuple[Any, ...], Optional[Event]]
 
 
 class SimulationError(RuntimeError):
@@ -55,16 +70,22 @@ class Simulator:
     time_unit:
         Purely informational label for the unit of the clock (the repository
         uses milliseconds throughout, matching the paper's figures).
+
+    Attributes
+    ----------
+    now:
+        Current simulation time.  A plain attribute, so the hot paths read
+        it without a call; only the event loop and :meth:`reset` write it.
     """
 
     def __init__(self, seed: Optional[int] = None, time_unit: str = "ms") -> None:
-        self._now = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self.now = 0.0
+        self._queue: list[Entry] = []
         self._seq = 0
         self._running = False
         self._stopped = False
         self._events_processed = 0
-        self._live_events = 0
+        self._cancelled = 0
         self.time_unit = time_unit
         self.random = RandomStreams(seed)
         self._trace_hooks: list[Callable[[Event], None]] = []
@@ -72,13 +93,8 @@ class Simulator:
         self._on_cancel = self._note_cancelled
 
     # ------------------------------------------------------------------
-    # Clock
+    # Counters
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events whose callbacks have been executed."""
@@ -88,11 +104,11 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events currently scheduled and not yet cancelled.
 
-        Maintained as a live counter updated on schedule/cancel/fire, so
-        reading it is O(1) instead of a scan of the queue (hot paths poll
-        it after every stepped run).
+        Every push takes one sequence number, so this is the pushes minus
+        the entries fired and the handles cancelled since the last reset:
+        O(1) to read, with no counter of its own to keep up to date.
         """
-        return self._live_events
+        return self._seq - self._events_processed - self._cancelled
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -105,7 +121,7 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now."""
-        return self._push(self._now + delay, priority, callback, args)
+        return self._push_handle(self.now + delay, priority, callback, args)
 
     def schedule_at(
         self,
@@ -115,13 +131,13 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to run at absolute time ``time``."""
-        return self._push(time, priority, callback, args)
+        return self._push_handle(time, priority, callback, args)
 
     def call_now(
         self, callback: Callable[..., Any], *args: Any, priority: int = 0
     ) -> Event:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self._push(self._now, priority, callback, args)
+        return self._push_handle(self.now, priority, callback, args)
 
     def cancel(self, event: Event) -> bool:
         """Cancel a previously scheduled event.  Returns ``True`` on success."""
@@ -153,14 +169,7 @@ class Simulator:
         self._discard_cancelled()
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)[3]
-        self._now = event.time
-        event.state = EventState.FIRED
-        self._live_events -= 1
-        self._events_processed += 1
-        for hook in self._trace_hooks:
-            hook(event)
-        event.callback(*event.args)
+        self._fire(heappop(self._queue))
         return True
 
     def run(
@@ -191,39 +200,41 @@ class Simulator:
         self._stopped = False
         executed = 0
         # The loop below is `while peek(): step()` flattened into one body:
-        # local aliases and direct tuple access keep the per-event overhead
-        # down to a heappop and the callback itself.
+        # local aliases and one tuple unpacking keep the per-entry overhead
+        # down to a heappop and the callback itself.  An entry beyond the
+        # horizon is pushed back unchanged; its (time, priority, seq) key
+        # puts it back at the front.
         queue = self._queue
         hooks = self._trace_hooks
-        heappop = heapq.heappop
+        horizon = float("inf") if until is None else until
+        limit = sys.maxsize if max_events is None else max_events
         pending = EventState.PENDING
         fired = EventState.FIRED
         try:
-            while not self._stopped:
-                if max_events is not None and executed >= max_events:
+            while queue and executed < limit and not self._stopped:
+                entry = heappop(queue)
+                time, _priority, _seq, callback, args, handle = entry
+                if handle is not None and handle.state is not pending:
+                    continue
+                if time > horizon:
+                    heappush(queue, entry)
+                    self.now = horizon
                     break
-                while queue and queue[0][3].state is not pending:
-                    heappop(queue)
-                if not queue:
-                    break
-                if until is not None and queue[0][0] > until:
-                    self._now = until
-                    break
-                event = heappop(queue)[3]
-                self._now = event.time
-                event.state = fired
-                self._live_events -= 1
+                self.now = time
+                if handle is not None:
+                    handle.state = fired
                 self._events_processed += 1
                 if hooks:
+                    event = handle if handle is not None else _fired_event(entry)
                     for hook in hooks:
                         hook(event)
-                event.callback(*event.args)
+                callback(*args)
                 executed += 1
             if until is not None and not self._stopped and self.peek() is None:
-                self._now = max(self._now, until)
+                self.now = max(self.now, until)
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -241,17 +252,19 @@ class Simulator:
         The random streams are *not* reset; create a new simulator for a
         statistically independent replication.
         """
-        for _time, _priority, _seq, event in self._queue:
-            # Mark the discarded events cancelled directly (bypassing
+        for entry in self._queue:
+            # Mark the discarded handles cancelled directly (bypassing
             # Event.cancel and its on_cancel hook) so a stale handle
-            # cancelled later cannot corrupt the live-event counter.
-            event.state = EventState.CANCELLED
+            # cancelled later cannot corrupt the pending-event counter.
+            handle = entry[5]
+            if handle is not None:
+                handle.state = EventState.CANCELLED
         self._queue.clear()
-        self._now = 0.0
+        self.now = 0.0
         self._seq = 0
         self._stopped = False
         self._events_processed = 0
-        self._live_events = 0
+        self._cancelled = 0
         self._trace_hooks.clear()
 
     # ------------------------------------------------------------------
@@ -263,30 +276,71 @@ class Simulator:
         priority: int,
         callback: Callable[..., Any],
         args: tuple[Any, ...],
-    ) -> Event:
-        if time < self._now:
+        handle: Optional[Event] = None,
+    ) -> None:
+        """Enter ``callback(*args)`` into the calendar at ``time``.
+
+        The one push of the calendar, and the only place a sequence number
+        is taken.  The kernel's own traffic (resource services, the
+        transport's stack delay, host sleeps) calls it directly with a
+        float ``time`` and no handle.
+        """
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event in the past: {time} < now {self._now}"
+                f"cannot schedule event in the past: {time} < now {self.now}"
             )
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (time, priority, seq, callback, args, handle))
+
+    def _push_handle(
+        self,
+        time: float,
+        priority: int,
+        callback: Callable[..., Any],
+        args: tuple[Any, ...],
+    ) -> Event:
+        # The handle carries the sequence number _push is about to take; a
+        # push that raises takes none and the handle is dropped.
         event = Event(time, priority, self._seq, callback, args)
         event.on_cancel = self._on_cancel
-        self._seq += 1
-        heapq.heappush(
-            self._queue, (event.time, event.priority, event.seq, event)
-        )
-        self._live_events += 1
+        self._push(event.time, event.priority, callback, args, event)
         return event
 
+    def _fire(self, entry: Entry) -> None:
+        time, _priority, _seq, callback, args, handle = entry
+        self.now = time
+        if handle is not None:
+            handle.state = EventState.FIRED
+        self._events_processed += 1
+        if self._trace_hooks:
+            event = handle if handle is not None else _fired_event(entry)
+            for hook in self._trace_hooks:
+                hook(event)
+        callback(*args)
+
     def _note_cancelled(self, _event: Event) -> None:
-        self._live_events -= 1
+        self._cancelled += 1
 
     def _discard_cancelled(self) -> None:
         queue = self._queue
-        while queue and queue[0][3].state is not EventState.PENDING:
-            heapq.heappop(queue)
+        pending = EventState.PENDING
+        while queue:
+            handle = queue[0][5]
+            if handle is None or handle.state is pending:
+                return
+            heappop(queue)
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self._now!r}, pending={self.pending_events}, "
+            f"Simulator(now={self.now!r}, pending={self.pending_events}, "
             f"processed={self._events_processed})"
         )
+
+
+def _fired_event(entry: Entry) -> Event:
+    """The :class:`Event` a trace hook sees for an entry without a handle."""
+    time, priority, seq, callback, args, _handle = entry
+    event = Event(time, priority, seq, callback, args)
+    event.state = EventState.FIRED
+    return event

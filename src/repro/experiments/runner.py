@@ -187,12 +187,17 @@ class ReplicationPlan:
 # ----------------------------------------------------------------------
 # On-disk result cache
 # ----------------------------------------------------------------------
+class _PlanSettings:
+    """Stands in a cache key for a point argument that is the plan's settings."""
+
+
 class ResultCache:
     """Pickle-based memoisation of point results.
 
     The cache key hashes the point function's qualified name, its full call
-    arguments (including the derived seed) and the settings object, so a
-    cached entry is only ever reused for an exactly identical point.  Writes
+    arguments (including the derived seed) and a digest of the settings
+    object, so a cached entry is only ever reused for an exactly identical
+    point.  Writes
     are atomic (write to a temporary file, then ``os.replace``) so that a
     killed run never leaves a truncated entry behind.
     """
@@ -203,14 +208,40 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def key(point: SweepPoint, settings: SeedSettings) -> str:
-        """Hex digest identifying (point, seed, settings)."""
+    def settings_digest(settings: SeedSettings) -> bytes:
+        """SHA-256 of the pickled settings object.
+
+        :func:`iter_plan` computes it once per plan and passes it to
+        :meth:`key`, so the settings (nested cluster configuration
+        included) are pickled once per plan rather than once per point.
+        """
+        payload = pickle.dumps(settings, protocol=pickle.HIGHEST_PROTOCOL)
+        return hashlib.sha256(payload).digest()
+
+    @staticmethod
+    def key(
+        point: SweepPoint,
+        settings: SeedSettings,
+        settings_digest: Optional[bytes] = None,
+    ) -> str:
+        """Hex digest identifying (point, seed, settings).
+
+        ``settings`` enters through ``settings_digest`` (computed here when
+        not given); a keyword argument that *is* the settings object enters
+        as a marker, since the digest already covers its content.
+        """
+        if settings_digest is None:
+            settings_digest = ResultCache.settings_digest(settings)
+        kwargs = sorted(
+            (name, _PlanSettings if value is settings else value)
+            for name, value in point.call_kwargs(settings).items()
+        )
         identity = (
             CACHE_FORMAT_VERSION,
             point.func.__module__,
             point.func.__qualname__,
-            tuple(sorted(point.call_kwargs(settings).items())),
-            settings,
+            tuple(kwargs),
+            settings_digest,
         )
         payload = pickle.dumps(identity, protocol=pickle.HIGHEST_PROTOCOL)
         return hashlib.sha256(payload).hexdigest()
@@ -383,11 +414,12 @@ def iter_plan(
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     keys: List[Optional[str]] = []
     cached: Dict[int, Any] = {}
+    settings_digest = None if cache is None else ResultCache.settings_digest(plan.settings)
     for index, point in enumerate(plan.points):
         if cache is None:
             keys.append(None)
             continue
-        key = ResultCache.key(point, plan.settings)
+        key = ResultCache.key(point, plan.settings, settings_digest)
         keys.append(key)
         hit, value = cache.get(key)
         if hit:

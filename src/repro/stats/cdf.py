@@ -19,13 +19,21 @@ class EmpiricalCDF:
     Parameters
     ----------
     samples:
-        Observations.  They are copied and sorted on construction.
+        Observations, any iterable of numbers.  They are copied and sorted
+        on construction; equal values (``0.0`` and ``-0.0`` included) keep
+        their input order.  A NaN observation has no place in a CDF and is
+        rejected with :class:`ValueError`.
     """
 
     def __init__(self, samples: Iterable[float]) -> None:
-        data = np.asarray(sorted(float(x) for x in samples), dtype=float)
+        data = np.sort(np.fromiter(samples, float), kind="stable")
         if data.size == 0:
             raise ValueError("EmpiricalCDF requires at least one sample")
+        if np.isnan(data[-1]):  # np.sort puts every NaN last
+            count = int(np.count_nonzero(np.isnan(data)))
+            raise ValueError(
+                f"EmpiricalCDF got {count} NaN sample(s) out of {data.size}"
+            )
         self._data = data
 
     # ------------------------------------------------------------------

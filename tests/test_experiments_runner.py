@@ -8,6 +8,7 @@ result for an exactly identical (point, seed, settings) triple.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
@@ -186,11 +187,55 @@ def test_cache_misses_on_different_seed_or_point(settings, tmp_path):
     plan = _plan(settings, tags=("a", "b"))
     keys = [ResultCache.key(point, settings) for point in plan.points]
     assert keys[0] != keys[1]
-    import dataclasses
-
     reseeded = dataclasses.replace(settings, seed=settings.seed + 1)
     assert ResultCache.key(plan.points[0], reseeded) != keys[0]
     assert cache.get(keys[0]) == (False, None)
+
+
+def _settings_point(settings: ExperimentSettings, tag: str, point_seed: int) -> tuple:
+    """A point function that takes the plan's settings as an argument."""
+    return (tag, settings.seed, point_seed)
+
+
+def _leaf_variants(obj, prefix=""):
+    """Copies of a nested frozen dataclass, each with one leaf field changed."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        name = prefix + field.name
+        if dataclasses.is_dataclass(value):
+            for inner_name, inner in _leaf_variants(value, name + "."):
+                yield inner_name, dataclasses.replace(obj, **{field.name: inner})
+            continue
+        if isinstance(value, tuple):
+            changed = value + value[-1:]
+        elif isinstance(value, float):
+            changed = value / 2 if value else 0.5
+        else:
+            changed = value + 1
+        yield name, dataclasses.replace(obj, **{field.name: changed})
+
+
+def test_cache_keys_follow_every_settings_field_and_point_argument(settings):
+    def key(settings, tag="a", digest=True):
+        point = SweepPoint.make(
+            _settings_point, kwargs={"settings": settings, "tag": tag},
+            indices=(97, 0), label="settings point",
+        )
+        if not digest:
+            return ResultCache.key(point, settings)
+        return ResultCache.key(point, settings, ResultCache.settings_digest(settings))
+
+    reference = key(settings)
+    # The digest iter_plan computes once per plan is the one key() derives.
+    assert key(settings, digest=False) == reference
+    # Equal settings in another object give the same key.
+    assert key(dataclasses.replace(settings)) == reference
+    assert key(settings, tag="b") != reference
+    variants = list(_leaf_variants(settings))
+    assert {"seed", "cluster.seed", "cluster.network.cpu_send_ms",
+            "cluster.scheduler.quantum_ms"} <= {name for name, _ in variants}
+    for name, changed in variants:
+        assert key(changed) != reference, name
 
 
 def test_corrupt_cache_entries_count_as_misses(settings, tmp_path):

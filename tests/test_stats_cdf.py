@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +76,20 @@ def test_ks_distance_is_symmetric():
 def test_empty_sample_rejected():
     with pytest.raises(ValueError):
         EmpiricalCDF([])
+
+
+def test_nan_samples_are_rejected_with_their_count():
+    # Sorting used to place NaN arbitrarily and yield a wrong CDF silently.
+    with pytest.raises(ValueError, match="2 NaN sample"):
+        EmpiricalCDF([1.0, float("nan"), 3.0, float("nan")])
+    with pytest.raises(ValueError, match="1 NaN sample"):
+        EmpiricalCDF(np.array([np.nan]))
+
+
+def test_any_iterable_sorts_stably_with_signed_zeros_in_input_order():
+    cdf = EmpiricalCDF(x for x in (0.0, -0.0, 1, np.float32(-1.5), -0.0))
+    assert cdf.samples.tolist() == [-1.5, 0.0, -0.0, -0.0, 1.0]
+    assert np.signbit(cdf.samples).tolist() == [True, False, True, True, False]
 
 
 def test_invalid_quantile_rejected():
