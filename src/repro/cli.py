@@ -21,10 +21,11 @@ Options:
   worker per CPU); the output is bit-for-bit identical to a serial run.
 * ``--cache-dir DIR`` memoises per-point results on disk so that
   re-rendering a figure (or resuming after an interrupt or a failed point)
-  only recomputes missing points; every stage of every experiment is a
-  cache point, so a warm re-run computes nothing.  The text format's
-  ``[... regenerated in X s]`` line then also counts the points served
-  from the cache.
+  only recomputes missing points, and each experiment's whole result so
+  that a warm re-run loads one entry per experiment and computes nothing.
+  Keys include a fingerprint of the code that computes results, so an
+  edit to it invalidates them.  The text format's ``[... regenerated in
+  X s]`` line then also counts the points served from the cache.
 * ``--batch-size N|auto`` sets the lock-step batch size of the SAN solver
   for every simulative point (any SAN-backed subcommand) by activating
   the process execution policy (:mod:`repro.san.execution`); it is a
@@ -92,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="directory for on-disk memoisation of per-point results",
+        help="directory for on-disk memoisation of point and experiment results",
     )
     parser.add_argument(
         "--batch-size",

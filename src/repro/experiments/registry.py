@@ -81,6 +81,10 @@ Aggregate = Callable[[ExperimentSettings, Iterable[Tuple[SweepPoint, Any]]], Any
 # ----------------------------------------------------------------------
 # Execution context
 # ----------------------------------------------------------------------
+#: A point entry an experiment run touched: ``(label, indices, cache key)``.
+TouchedPoint = Tuple[str, Tuple[int, ...], str]
+
+
 @dataclass
 class ExperimentContext:
     """Everything an experiment needs at run time, resolved exactly once.
@@ -88,13 +92,15 @@ class ExperimentContext:
     The context owns the settings, the worker count, the (optional) result
     cache and the timing trail.  Experiment implementations run every stage
     as a plan through :meth:`iter`, so every unit of work is cached and
-    lands in the manifest without per-module plumbing.
+    lands in the manifest without per-module plumbing.  With a cache,
+    ``touched`` lists the point entry of every plan point run, in order.
     """
 
     settings: ExperimentSettings
     jobs: Optional[int] = 1
     cache: Optional[ResultCache] = None
     timings: List[PointTiming] = field(default_factory=list)
+    touched: List[TouchedPoint] = field(default_factory=list)
 
     @staticmethod
     def create(
@@ -112,8 +118,18 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     def iter(self, plan: ReplicationPlan) -> Iterator[Tuple[SweepPoint, Any]]:
         """Execute a plan with this context's jobs/cache, recording timings."""
+        keys = None
+        if self.cache is not None:
+            keys = ResultCache.plan_keys(plan)
+            self.touched.extend(
+                (point.label, point.indices, key) for point, key in zip(plan.points, keys)
+            )
         return iter_plan(
-            plan, jobs=self.jobs, cache=self.cache, timing_hook=self._record_point
+            plan,
+            jobs=self.jobs,
+            cache=self.cache,
+            timing_hook=self._record_point,
+            keys=keys,
         )
 
     def _record_point(self, point: SweepPoint, seconds: float, cached: bool) -> None:
@@ -122,6 +138,27 @@ class ExperimentContext:
                 label=point.label, indices=point.indices, seconds=seconds, cached=cached
             )
         )
+
+    def replay(self, entry: Any) -> bool:
+        """Serve an experiment entry's points as cache hits, if all are stored.
+
+        ``entry`` is what :meth:`ExperimentSpec.execute` stores: ``(result,
+        touched points)``.  When every touched point entry is still on disk
+        (one ``stat`` each, nothing loaded), the points are recorded as the
+        cache hits a point-by-point re-run would record and the answer is
+        true; otherwise nothing is recorded.
+        """
+        assert self.cache is not None
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            return False
+        _result, points = entry
+        if not all(self.cache.has(key) for _label, _indices, key in points):
+            return False
+        self.timings.extend(
+            PointTiming(label=label, indices=indices, seconds=0.0, cached=True)
+            for label, indices, _key in points
+        )
+        return True
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +224,30 @@ class ExperimentSpec:
         return list(self.build_plan(settings).points)
 
     def execute(self, context: ExperimentContext) -> Any:
-        """Run the experiment in ``context`` and return its result object."""
+        """Run the experiment in ``context`` and return its result object.
+
+        With a cache, a successful run stores one experiment entry: the
+        result plus the point entries the run touched, composite stages
+        included, under :meth:`ResultCache.experiment_key`.  A later run
+        with equal settings and unchanged code returns that result without
+        building a plan or loading a point, provided every touched point
+        entry is still stored (so deleting one re-runs the experiment,
+        which then recomputes only that point).  A failed run stores no
+        entry.
+        """
+        cache = context.cache
+        if cache is None:
+            return self._compute(context)
+        key = ResultCache.experiment_key(self.name, context.settings)
+        hit, entry = cache.get(key)
+        if hit and context.replay(entry):
+            return entry[0]
+        first = len(context.touched)
+        result = self._compute(context)
+        cache.put(key, (result, tuple(context.touched[first:])))
+        return result
+
+    def _compute(self, context: ExperimentContext) -> Any:
         if self.run is not None:
             return self.run(context)
         assert self.build_plan is not None and self.aggregate is not None

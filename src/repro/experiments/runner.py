@@ -15,8 +15,11 @@ grids serially; this module factors the iteration into a reusable engine:
   *in plan order* so that aggregation is deterministic and independent of
   worker scheduling;
 * :class:`ResultCache` -- optional on-disk memoisation keyed by
-  (point function, arguments, derived seed, settings), so re-rendering a
-  figure after a crash or with a different ``--jobs`` value is free.
+  (code fingerprint, point function, arguments, derived seed, settings),
+  so re-rendering a figure after a crash or with a different ``--jobs``
+  value is free, and editing the code that computes a result invalidates
+  it (:func:`code_fingerprint`).  The experiment registry stores whole
+  experiment results in the same cache, on top of the point entries.
 
 Every stage of every registered experiment runs as a plan through
 :func:`iter_plan` (composite experiments build one-point plans for their
@@ -36,6 +39,7 @@ bit-for-bit identical aggregates (covered by
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -53,6 +57,7 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -63,9 +68,11 @@ __all__ = [
     "ReplicationPlan",
     "ResultCache",
     "TimingHook",
+    "code_fingerprint",
     "iter_plan",
     "execute_plan",
     "resolve_jobs",
+    "source_fingerprint",
 ]
 
 
@@ -85,13 +92,63 @@ class SeedSettings(Protocol):
         ...
 
 
-#: Bump when the execution semantics change in a way that invalidates
-#: previously cached point results.
-# Bump whenever cached results become incomparable with freshly computed
-# ones -- e.g. version 2: the SAN executor's per-activity RNG streams
-# changed every fixed-seed simulative result; version 3: trace events
-# became named tuples and event logs pickle as plain rows.
-CACHE_FORMAT_VERSION = 3
+#: Source files of the package, relative to its directory, that cannot
+#: change a computed result: the CLI, the artifact writer, the determinism
+#: linter and the benchmark-baseline tool only present or check results
+#: computed elsewhere.  An entry ending in ``/`` names a whole subpackage.
+PRESENTATION_ONLY = (
+    "__main__.py",
+    "analysis/",
+    "benchmarking.py",
+    "cli.py",
+    "experiments/artifacts.py",
+)
+
+
+def source_fingerprint(package_dir: str) -> str:
+    """SHA-256 over a package tree's result-bearing source, plus the numpy version.
+
+    Covers every ``*.py`` file under ``package_dir`` except
+    :data:`PRESENTATION_ONLY`, in sorted relative-path order, each hashed
+    with its path.  numpy enters because its version can change the last
+    bits of a random draw or a linear solve.
+    """
+    import numpy
+
+    sources = []
+    for root, dirs, files in os.walk(package_dir):
+        dirs[:] = [name for name in dirs if name != "__pycache__"]
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.relpath(os.path.join(root, name), package_dir)
+                sources.append(path.replace(os.sep, "/"))
+    digest = hashlib.sha256()
+    for path in sorted(sources):
+        if any(
+            path == entry or (entry.endswith("/") and path.startswith(entry))
+            for entry in PRESENTATION_ONLY
+        ):
+            continue
+        with open(os.path.join(package_dir, path), "rb") as handle:
+            source = handle.read()
+        for part in (path.encode(), source):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+    digest.update(numpy.__version__.encode())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """:func:`source_fingerprint` of the imported ``repro`` package, once per process.
+
+    Every cache key includes it, so editing any result-bearing module (or
+    changing numpy) makes every earlier entry a miss, with no version
+    number to bump by hand.
+    """
+    import repro
+
+    return source_fingerprint(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @dataclass(frozen=True)
@@ -192,14 +249,16 @@ class _PlanSettings:
 
 
 class ResultCache:
-    """Pickle-based memoisation of point results.
+    """Pickle-based memoisation of point and experiment results.
 
-    The cache key hashes the point function's qualified name, its full call
-    arguments (including the derived seed) and a digest of the settings
-    object, so a cached entry is only ever reused for an exactly identical
-    point.  Writes
-    are atomic (write to a temporary file, then ``os.replace``) so that a
-    killed run never leaves a truncated entry behind.
+    A point key hashes the :func:`code_fingerprint`, the point function's
+    qualified name, its full call arguments (including the derived seed)
+    and a digest of the settings object, so a cached entry is only ever
+    reused for an exactly identical point computed by the same code.  An
+    experiment key (:meth:`experiment_key`) hashes the fingerprint, the
+    experiment's name and the settings digest.  Writes are atomic (write
+    to a temporary file, then ``os.replace``) so that a killed run never
+    leaves a truncated entry behind.
     """
 
     def __init__(self, directory: str) -> None:
@@ -211,7 +270,7 @@ class ResultCache:
     def settings_digest(settings: SeedSettings) -> bytes:
         """SHA-256 of the pickled settings object.
 
-        :func:`iter_plan` computes it once per plan and passes it to
+        :meth:`plan_keys` computes it once per plan and passes it to
         :meth:`key`, so the settings (nested cluster configuration
         included) are pickled once per plan rather than once per point.
         """
@@ -224,7 +283,7 @@ class ResultCache:
         settings: SeedSettings,
         settings_digest: Optional[bytes] = None,
     ) -> str:
-        """Hex digest identifying (point, seed, settings).
+        """Hex digest identifying (code, point, seed, settings).
 
         ``settings`` enters through ``settings_digest`` (computed here when
         not given); a keyword argument that *is* the settings object enters
@@ -237,11 +296,29 @@ class ResultCache:
             for name, value in point.call_kwargs(settings).items()
         )
         identity = (
-            CACHE_FORMAT_VERSION,
+            code_fingerprint(),
             point.func.__module__,
             point.func.__qualname__,
             tuple(kwargs),
             settings_digest,
+        )
+        payload = pickle.dumps(identity, protocol=pickle.HIGHEST_PROTOCOL)
+        return hashlib.sha256(payload).hexdigest()
+
+    @staticmethod
+    def plan_keys(plan: ReplicationPlan) -> List[str]:
+        """The key of every point of ``plan``, in plan order."""
+        digest = ResultCache.settings_digest(plan.settings)
+        return [ResultCache.key(point, plan.settings, digest) for point in plan.points]
+
+    @staticmethod
+    def experiment_key(name: str, settings: SeedSettings) -> str:
+        """Hex digest identifying (code, experiment ``name``, settings)."""
+        identity = (
+            "experiment",
+            code_fingerprint(),
+            name,
+            ResultCache.settings_digest(settings),
         )
         payload = pickle.dumps(identity, protocol=pickle.HIGHEST_PROTOCOL)
         return hashlib.sha256(payload).hexdigest()
@@ -263,6 +340,10 @@ class ResultCache:
                 return True, pickle.load(handle)
         except Exception:
             return False, None
+
+    def has(self, key: str) -> bool:
+        """Whether an entry is stored under ``key`` (one ``stat``, no load)."""
+        return os.path.isfile(self._path(key))
 
     def put(self, key: str, value: Any) -> None:
         """Store one point result atomically."""
@@ -376,6 +457,7 @@ def iter_plan(
     pool: Optional[ProcessPoolExecutor] = None,
     timing_hook: Optional[TimingHook] = None,
     group_size: int = 1,
+    keys: Optional[Sequence[str]] = None,
 ) -> Iterator[Tuple[SweepPoint, Any]]:
     """Execute a plan, yielding ``(point, result)`` pairs *in plan order*.
 
@@ -402,6 +484,10 @@ def iter_plan(
     timings, or the plan-order yield -- ``group_size=N`` is bit-identical
     to ``group_size=1``.
 
+    ``keys`` passes the plan's cache keys (:meth:`ResultCache.plan_keys`)
+    when the caller already computed them; without it they are computed
+    here, once, when a cache is given.
+
     A point that raises propagates its original exception, with a note
     naming the plan, point, indices and seed where ``add_note`` exists.
     With a cache, every other point that finished successfully is written
@@ -412,26 +498,20 @@ def iter_plan(
     jobs = resolve_jobs(jobs)
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
-    keys: List[Optional[str]] = []
+    point_keys: Sequence[str] = ()
     cached: Dict[int, Any] = {}
-    settings_digest = None if cache is None else ResultCache.settings_digest(plan.settings)
-    for index, point in enumerate(plan.points):
-        if cache is None:
-            keys.append(None)
-            continue
-        key = ResultCache.key(point, plan.settings, settings_digest)
-        keys.append(key)
-        hit, value = cache.get(key)
-        if hit:
-            cached[index] = value
+    if cache is not None:
+        point_keys = ResultCache.plan_keys(plan) if keys is None else keys
+        for index, key in enumerate(point_keys):
+            hit, value = cache.get(key)
+            if hit:
+                cached[index] = value
 
     def finish(
         index: int, point: SweepPoint, seconds: float, result: Any
     ) -> Tuple[SweepPoint, Any]:
         if cache is not None and index not in cached:
-            key = keys[index]
-            assert key is not None
-            cache.put(key, result)
+            cache.put(point_keys[index], result)
         if timing_hook is not None:
             timing_hook(point, seconds, False)
         return point, result
@@ -505,9 +585,7 @@ def iter_plan(
                                 continue
                             later_outcome = later_future.result()[later_offset]
                             if not isinstance(later_outcome, _PointFailure):
-                                key = keys[later]
-                                assert key is not None
-                                cache.put(key, later_outcome[1])
+                                cache.put(point_keys[later], later_outcome[1])
                     _note_failing_point(error, plan, point)
                     raise
                 seconds, result = outcome

@@ -30,6 +30,9 @@ class FailureDetectorHistory:
     def __init__(self) -> None:
         self._transitions: List[Transition] = []
         self._current: Dict[Tuple[int, int], bool] = {}
+        #: Each pair's transitions in append order, so reading one pair's
+        #: history does not scan every pair's.
+        self._by_pair: Dict[Tuple[int, int], List[Transition]] = {}
 
     # ------------------------------------------------------------------
     def record(self, monitor: int, monitored: int, time: float, suspected: bool) -> None:
@@ -38,9 +41,11 @@ class FailureDetectorHistory:
         if self._current.get(key, False) == suspected:
             return
         self._current[key] = suspected
-        self._transitions.append(
-            Transition(monitor=monitor, monitored=monitored, time=time, suspected=suspected)
+        transition = Transition(
+            monitor=monitor, monitored=monitored, time=time, suspected=suspected
         )
+        self._transitions.append(transition)
+        self._by_pair.setdefault(key, []).append(transition)
 
     # ------------------------------------------------------------------
     @property
@@ -53,15 +58,11 @@ class FailureDetectorHistory:
 
     def pairs(self) -> List[Tuple[int, int]]:
         """All (monitor, monitored) pairs that ever had a transition."""
-        return sorted({(t.monitor, t.monitored) for t in self._transitions})
+        return sorted(self._by_pair)
 
     def pair_transitions(self, monitor: int, monitored: int) -> List[Transition]:
         """Transitions of one specific failure-detector module."""
-        return [
-            t
-            for t in self._transitions
-            if t.monitor == monitor and t.monitored == monitored
-        ]
+        return list(self._by_pair.get((monitor, monitored), ()))
 
     # ------------------------------------------------------------------
     def suspicion_intervals(

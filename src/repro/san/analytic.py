@@ -40,11 +40,14 @@ When to use which solver
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +80,72 @@ DENSE_STATE_LIMIT = 2_000
 
 class AnalyticSolverError(RuntimeError):
     """Raised when a model cannot be solved analytically."""
+
+
+#: OpenBLAS's thread-count ``(setter, getter)`` symbol names, across plain,
+#: 64-bit-integer and scipy-openblas (numpy's wheels) builds.
+_BLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_set_num_threads{suffix}", f"{prefix}_get_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "_64_", "")
+)
+
+#: One OpenBLAS library's thread-count ``(setter, getter)``.
+_ThreadControl = Tuple[Callable[[int], None], Callable[[], int]]
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_controls() -> Tuple[_ThreadControl, ...]:
+    """The thread-count controls of every OpenBLAS mapped into this process.
+
+    Looked up on the first dense solve, not at import.  Libraries are found
+    by name in ``/proc/self/maps``; where that file does not exist, or no
+    library exports a known symbol pair, there are none.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths: Dict[str, None] = {}  # in map order, each once
+    for entry in fields:
+        if len(entry) == 6 and "openblas" in entry[5].rsplit("/", 1)[-1].lower():
+            paths[entry[5].strip()] = None
+    controls: List[_ThreadControl] = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+            setter = getattr(library, set_name, None)
+            getter = getattr(library, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block on one OpenBLAS thread, restoring the count on exit.
+
+    The dense systems solved here have at most :data:`DENSE_STATE_LIMIT`
+    states: one thread solves them in milliseconds, while a threaded solve
+    on a busy machine can stall for a hundred times as long.  A no-op when
+    no OpenBLAS control is found.
+    """
+    controls = _blas_thread_controls()
+    previous = [getter() for _setter, getter in controls]
+    for setter, _getter in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _getter), count in zip(controls, previous):
+            setter(count)
 
 
 def load_numerics() -> None:
@@ -219,6 +288,10 @@ class AnalyticSolver:
         self.max_states = max_states
         self._model: Optional[SANModel] = None
         self._space: Optional[StateSpace] = None
+        #: Solved sojourn vectors by target mask bytes: with a stop
+        #: predicate, :meth:`solve` and a first-passage reward usually
+        #: target the same set.
+        self._sojourn: Dict[bytes, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # State space
@@ -265,7 +338,8 @@ class AnalyticSolver:
             stacked = np.vstack([q_transposed.toarray(), np.ones((1, n))])
             rhs = np.zeros(n + 1)
             rhs[-1] = 1.0
-            solution, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+            with _one_blas_thread():
+                solution, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
         else:
             # Replace the last balance equation with the normalisation row;
             # nonsingular for irreducible chains.
@@ -346,13 +420,22 @@ class AnalyticSolver:
         the target set, starting from the initial distribution.
 
         Returns a full-length vector (zero on target states).  Non-finite
-        entries mean the target set is not almost-surely reachable.
+        entries mean the target set is not almost-surely reachable.  Each
+        target set is solved once per solver.
         """
         space = self.state_space
         n = space.n_states
         target_mask = np.asarray(target_mask, dtype=bool)
         if target_mask.shape != (n,):
             raise ValueError("target_mask must have one entry per state")
+        key = target_mask.tobytes()
+        if key not in self._sojourn:
+            self._sojourn[key] = self._solve_sojourn(target_mask)
+        return self._sojourn[key].copy()
+
+    def _solve_sojourn(self, target_mask: np.ndarray) -> np.ndarray:
+        space = self.state_space
+        n = space.n_states
         transient = ~target_mask
         if not transient.any():
             return np.zeros(n)
@@ -364,9 +447,8 @@ class AnalyticSolver:
                 warnings.simplefilter("ignore")  # singular-matrix warnings
                 try:
                     if q_tt.shape[0] <= DENSE_STATE_LIMIT:
-                        tau = np.linalg.solve(
-                            q_tt.toarray().T, -p0_t
-                        )
+                        with _one_blas_thread():
+                            tau = np.linalg.solve(q_tt.toarray().T, -p0_t)
                     else:
                         from scipy.sparse import linalg as sparse_linalg
 
@@ -423,7 +505,8 @@ class AnalyticSolver:
                 rate_to_target[transition.source] += transition.rate
         q_ll = space.generator()[live][:, live]
         if q_ll.shape[0] <= DENSE_STATE_LIMIT:
-            h = np.linalg.solve(q_ll.toarray(), -rate_to_target[live])
+            with _one_blas_thread():
+                h = np.linalg.solve(q_ll.toarray(), -rate_to_target[live])
         else:
             from scipy.sparse import linalg as sparse_linalg
 

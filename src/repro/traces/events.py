@@ -23,7 +23,6 @@ explicitly requested, so enabling it cannot perturb simulation results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -102,7 +101,6 @@ class TraceEvent(NamedTuple):
         return record
 
 
-@dataclass
 class EventLog:
     """An append-only, time-sortable log of :class:`TraceEvent` entries.
 
@@ -110,13 +108,38 @@ class EventLog:
     failure-detector events are merged in afterwards.  :meth:`events`
     returns the merged view sorted stably by time, so equal-time events
     keep their append order (transport before crash before timer).
+
+    A log loaded from a pickle keeps its plain rows until ``entries`` is
+    first read, so loading (and measuring) a cached log builds no events.
     """
 
-    entries: List[TraceEvent] = field(default_factory=list)
+    def __init__(self, entries: Optional[List[TraceEvent]] = None) -> None:
+        self._entries: List[TraceEvent] = [] if entries is None else entries
+        #: Pickled rows not yet turned into events (see :func:`_log_from_rows`).
+        self._rows: Optional[List[Tuple[Any, ...]]] = None
+
+    @property
+    def entries(self) -> List[TraceEvent]:
+        """The events in append order."""
+        if self._rows is not None:
+            # tuple.__new__ turns each row into a TraceEvent in C, with no
+            # Python call per event.
+            self._entries = list(map(tuple.__new__, repeat(TraceEvent), self._rows))
+            self._rows = None
+        return self._entries
 
     def __reduce__(self) -> Tuple[Any, Tuple[List[Tuple[Any, ...]]]]:
         """Pickle the entries as plain row tuples (see :func:`_log_from_rows`)."""
-        return _log_from_rows, (list(map(tuple, self.entries)),)
+        rows = self._rows if self._rows is not None else list(map(tuple, self._entries))
+        return _log_from_rows, (rows,)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"EventLog(entries={self.entries!r})"
 
     def append(self, event: TraceEvent) -> None:
         """Append one event (any time order; sorting happens on read)."""
@@ -150,16 +173,14 @@ class EventLog:
         return [event.to_dict() for event in self.events()]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._rows) if self._rows is not None else len(self._entries)
 
 
 def _log_from_rows(rows: List[Tuple[Any, ...]]) -> EventLog:
-    """Rebuild an :class:`EventLog` from its pickled rows.
-
-    ``tuple.__new__`` turns each row into a :class:`TraceEvent` in C, so
-    unpickling a log calls no Python function per event.
-    """
-    return EventLog(list(map(tuple.__new__, repeat(TraceEvent), rows)))
+    """Rebuild an :class:`EventLog` from its pickled rows, decoded on first use."""
+    log = EventLog()
+    log._rows = rows
+    return log
 
 
 def _drop_process(message: "Message", stage: str) -> int:

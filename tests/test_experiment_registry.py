@@ -10,6 +10,7 @@ registering a preset is all a new scale needs to become CLI-selectable.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from repro import cli
 from repro.experiments import registry
 from repro.experiments.figure6 import format_figure6, run_figure6
 from repro.experiments.registry import ExperimentOptions, ExperimentSpec, run_experiment
+from repro.experiments.runner import ReplicationPlan, ResultCache, SweepPoint
 from repro.experiments.settings import SCALE_PRESETS, ExperimentSettings
 
 #: Every experiment the eight generator modules must register.
@@ -247,3 +249,115 @@ def test_manifest_settings_identity_follows_the_value_not_the_object():
     assert integral == tiny_settings()
     assert hashes[2] == integral.settings_hash() != hashes[0]
     assert runs[2].manifest.settings["timeouts_ms"] == [2]
+
+
+# ----------------------------------------------------------------------
+# Experiment entries: whole results served from the cache
+# ----------------------------------------------------------------------
+def _stripped(run) -> dict:
+    """The run's payload without its wall-clock fields."""
+    payload = run.payload()
+    manifest = payload["manifest"]
+    del manifest["started_at"], manifest["wall_clock_seconds"]
+    for point in manifest["points"]:
+        del point["seconds"]
+    return payload
+
+
+def _experiment_entry(cache_dir, name: str) -> str:
+    return os.path.join(
+        cache_dir, ResultCache.experiment_key(name, tiny_settings()) + ".pkl"
+    )
+
+
+def _counting_gets(monkeypatch) -> list:
+    keys = []
+    original = ResultCache.get
+
+    def get(self, key):
+        keys.append(key)
+        return original(self, key)
+
+    monkeypatch.setattr(ResultCache, "get", get)
+    return keys
+
+
+def test_a_warm_hit_loads_no_point_entry_and_matches_a_point_by_point_rerun(
+    tiny_scale, tmp_path, monkeypatch
+):
+    options = ExperimentOptions(scale=tiny_scale, cache_dir=str(tmp_path))
+    spec = registry.get("figure7b")  # composite: its sub-stages are touched too
+    cold = run_experiment(spec, options=options)
+    gets = _counting_gets(monkeypatch)
+    warm = run_experiment(spec, options=options)
+    assert gets == [ResultCache.experiment_key("figure7b", tiny_settings())]
+    assert [(p.label, p.indices) for p in warm.manifest.points] == [
+        (p.label, p.indices) for p in cold.manifest.points
+    ]
+    assert all(p.cached and p.seconds == 0.0 for p in warm.manifest.points)
+    assert warm.payload()["data"] == cold.payload()["data"]
+    assert warm.text() == cold.text()
+    # Without the entry, the run is served point by point, with the same payload.
+    os.unlink(_experiment_entry(tmp_path, "figure7b"))
+    by_point = run_experiment(spec, options=options)
+    assert len(gets) > 2
+    assert _stripped(warm) == _stripped(by_point)
+
+
+def test_a_deleted_point_entry_is_recomputed_alone(tiny_scale, tmp_path):
+    options = ExperimentOptions(scale=tiny_scale, cache_dir=str(tmp_path))
+    spec = registry.get("figure7b")
+    cold = run_experiment(spec, options=options)
+    hit, (_result, touched) = ResultCache(str(tmp_path)).get(
+        ResultCache.experiment_key("figure7b", tiny_settings())
+    )
+    assert hit and [(label, indices) for label, indices, _key in touched] == [
+        (p.label, p.indices) for p in cold.manifest.points
+    ]
+    (deleted,) = [key for label, _i, key in touched if label == "figure7b measure n=5"]
+    os.unlink(os.path.join(tmp_path, deleted + ".pkl"))
+    rerun = run_experiment(spec, options=options)
+    assert [(p.label, p.cached) for p in rerun.manifest.points] == [
+        (p.label, p.label != "figure7b measure n=5") for p in cold.manifest.points
+    ]
+    assert rerun.payload()["data"] == cold.payload()["data"]
+
+
+def test_a_corrupt_experiment_entry_counts_as_a_miss(tiny_scale, tmp_path):
+    options = ExperimentOptions(scale=tiny_scale, cache_dir=str(tmp_path))
+    spec = registry.get("figure7a")
+    cold = run_experiment(spec, options=options)
+    entry = _experiment_entry(tmp_path, "figure7a")
+    with open(entry, "wb") as handle:
+        handle.write(b"not a pickle")
+    rerun = run_experiment(spec, options=options)
+    assert all(p.cached for p in rerun.manifest.points)
+    assert rerun.payload()["data"] == cold.payload()["data"]
+    # The miss rewrote the entry.
+    assert ResultCache(str(tmp_path)).get(os.path.basename(entry)[:-4])[0]
+
+
+def _square(value: int, point_seed: int) -> int:
+    return value * value
+
+
+def _fail_after_one_point(context):
+    plan = ReplicationPlan(
+        settings=context.settings,
+        points=(SweepPoint.make(_square, kwargs={"value": 3}, indices=(0,), label="sq"),),
+    )
+    assert [result for _point, result in context.iter(plan)] == [9]
+    raise RuntimeError("aggregation failed")
+
+
+def test_a_failed_run_writes_no_experiment_entry(tmp_path):
+    failing = ExperimentSpec(
+        name="fails-late", description="d", render_text=str,
+        to_record=lambda result: {}, run=_fail_after_one_point,
+    )
+    options = ExperimentOptions(cache_dir=str(tmp_path))
+    with pytest.raises(RuntimeError, match="aggregation failed"):
+        run_experiment(failing, options=options, settings=tiny_settings())
+    # The finished point was stored; the experiment was not.
+    assert len(os.listdir(tmp_path)) == 1
+    assert not os.path.exists(_experiment_entry(tmp_path, "fails-late"))

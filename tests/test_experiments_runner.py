@@ -10,19 +10,24 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
+import subprocess
 import sys
 
 import pytest
 
 from repro.experiments.figure7 import run_figure7a
 from repro.experiments.figure8 import figure8_plan, run_figure8
+import repro
 from repro.experiments.runner import (
+    PRESENTATION_ONLY,
     ReplicationPlan,
     ResultCache,
     SweepPoint,
     execute_plan,
     iter_plan,
     resolve_jobs,
+    source_fingerprint,
 )
 from repro.experiments.settings import ExperimentSettings
 
@@ -392,3 +397,72 @@ def test_a_failing_point_in_a_pooled_group_keeps_the_points_before_it(settings, 
         assert caught.value.__notes__[0].startswith("while running point 'flaky c'")
     hits = [cache.get(ResultCache.key(point, settings))[0] for point in plan.points]
     assert hits == [True, True, False, True]
+
+
+# ----------------------------------------------------------------------
+# Code fingerprint
+# ----------------------------------------------------------------------
+_KEYS_SCRIPT = """
+import os, sys
+import repro
+from repro.experiments.runner import ResultCache, SweepPoint, resolve_jobs
+from repro.experiments.settings import ExperimentSettings
+
+assert os.path.dirname(repro.__file__) == sys.argv[1], repro.__file__
+settings = ExperimentSettings()
+point = SweepPoint.make(resolve_jobs, kwargs={"jobs": 1}, indices=(1,), seed_arg=None)
+print(ResultCache.key(point, settings), ResultCache.experiment_key("figure6", settings))
+"""
+
+
+def _keys_of(package_dir) -> str:
+    """A point key and an experiment key, computed by a fresh interpreter on a tree."""
+    environment = dict(os.environ, PYTHONPATH=os.path.dirname(package_dir))
+    completed = subprocess.run(
+        [sys.executable, "-c", _KEYS_SCRIPT, str(package_dir)],
+        capture_output=True, text=True, env=environment, check=True,
+    )
+    return completed.stdout.strip()
+
+
+def _append(path, text: str) -> None:
+    with open(path, "a") as handle:
+        handle.write(text)
+
+
+def test_cache_keys_follow_result_code_and_ignore_presentation_code(tmp_path):
+    package = tmp_path / "repro"
+    shutil.copytree(
+        os.path.dirname(repro.__file__), package,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    reference = _keys_of(package)
+    _append(package / "cli.py", "\n# an edit to the command line only\n")
+    assert _keys_of(package) == reference
+    _append(package / "stats" / "fitting.py", "\n# an edit to result code\n")
+    changed = _keys_of(package)
+    assert len(set(changed.split()) | set(reference.split())) == 4
+
+
+def test_source_fingerprint_skips_exactly_the_presentation_only_files(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "analysis").mkdir(parents=True)
+    (package / "experiments").mkdir()
+    (package / "stats").mkdir()
+    for path in ("cli.py", "analysis/rules.py", "experiments/artifacts.py",
+                 "experiments/figure6.py", "stats/fitting.py"):
+        (package / path).write_text("x = 1\n")
+    reference = source_fingerprint(str(package))
+    for path in ("cli.py", "analysis/rules.py", "experiments/artifacts.py"):
+        _append(package / path, "y = 2\n")
+        assert source_fingerprint(str(package)) == reference, path
+    (package / "notes.txt").write_text("not source")
+    assert source_fingerprint(str(package)) == reference
+    for path in ("experiments/figure6.py", "stats/fitting.py"):
+        _append(package / path, "y = 2\n")
+        assert source_fingerprint(str(package)) != reference, path
+        reference = source_fingerprint(str(package))
+    # A covered module moved elsewhere changes the fingerprint too.
+    os.rename(package / "stats" / "fitting.py", package / "stats" / "fit.py")
+    assert source_fingerprint(str(package)) != reference
+    assert "cli.py" in PRESENTATION_ONLY

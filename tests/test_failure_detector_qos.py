@@ -196,3 +196,25 @@ def test_time_suspected_is_bounded_by_the_experiment_duration(events):
         history.record(0, 1, time, suspected)
     suspected_time = history.time_suspected(0, 1, 100.0)
     assert 0.0 <= suspected_time <= 100.0
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()),
+        max_size=300,
+    )
+)
+def test_per_pair_index_equals_filtering_every_transition(records):
+    history = FailureDetectorHistory()
+    for step, (monitor, monitored, suspected) in enumerate(records):
+        history.record(monitor, monitored, float(step), suspected)
+    pairs = sorted({(t.monitor, t.monitored) for t in history.transitions})
+    assert history.pairs() == pairs
+    for monitor in range(5):
+        for monitored in range(5):
+            expected = [
+                t for t in history.transitions
+                if t.monitor == monitor and t.monitored == monitored
+            ]
+            assert history.pair_transitions(monitor, monitored) == expected
+    assert sum(len(history.pair_transitions(*pair)) for pair in pairs) == len(history)

@@ -6,7 +6,8 @@ and ``scipy.special`` and ``scipy.sparse`` cost a few tenths each; the
 package therefore imports scipy only inside the functions that need it
 (confidence intervals and the analytic solver), and never ``scipy.stats``.
 A sweep that forks workers imports scipy first, so the workers inherit it
-instead of each importing it again.  Each check runs in a fresh
+instead of each importing it again.  A warm ``all`` is served from whole
+experiment entries, so it loads neither scipy nor any point entry.  Each check runs in a fresh
 interpreter because the test process itself has long since loaded scipy.
 """
 
@@ -26,10 +27,11 @@ SCIPY_MODULES = ("scipy", "scipy.stats", "scipy.sparse", "scipy.special")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _loaded_after(script: str) -> dict[str, bool]:
+def _loaded_after(script: str, *args: str) -> dict[str, bool]:
     """Run ``script`` in a fresh interpreter; report which scipy modules it loaded.
 
-    The script may print lines of its own; the report is the last line.
+    ``args`` become the script's ``sys.argv[1:]``.  The script may print
+    lines of its own; the report is the last line.
     """
     report = textwrap.dedent(
         f"""
@@ -42,7 +44,7 @@ def _loaded_after(script: str) -> dict[str, bool]:
         filter(None, [os.path.join(REPO_ROOT, "src"), environment.get("PYTHONPATH", "")])
     )
     completed = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script) + report],
+        [sys.executable, "-c", textwrap.dedent(script) + report, *args],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
@@ -126,3 +128,25 @@ def test_pooled_sweep_workers_inherit_scipy_from_the_parent():
         """
     )
     assert loaded["scipy.special"] and not loaded["scipy.stats"]
+
+
+def test_a_warm_run_of_every_experiment_loads_no_scipy_and_no_point_entry(tmp_path):
+    run_all = """
+        import sys
+        from repro import cli
+        from repro.experiments.runner import ResultCache
+
+        gets = []
+        original = ResultCache.get
+        ResultCache.get = lambda self, key: gets.append(key) or original(self, key)
+        assert cli.main(["all", "--scale", "smoke", "--cache-dir", sys.argv[1]]) == 0
+        print(len(gets), "cache reads")
+        if sys.argv[2] == "warm":
+            from repro.experiments import registry
+
+            assert len(gets) == len(registry.names()), gets  # one entry each
+        """
+    cache_dir = str(tmp_path / "cache")
+    cold = _loaded_after(run_all, cache_dir, "cold")
+    assert cold["scipy.special"]  # the cold run does compute confidence intervals
+    assert _loaded_after(run_all, cache_dir, "warm") == dict.fromkeys(SCIPY_MODULES, False)

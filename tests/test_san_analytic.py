@@ -22,6 +22,7 @@ from repro.san import (
     SANModel,
     TimedActivity,
 )
+from repro.san import analytic
 from repro.san.analytic import (
     UNIFORMIZATION_EPSILON,
     _poisson_pmf,
@@ -396,3 +397,94 @@ def test_poisson_ppf_matches_scipy_stats_at_truncation_and_seeded_quantiles():
 @settings(max_examples=500, deadline=None)
 def test_poisson_ppf_matches_scipy_stats_at_random_quantiles(q, mu):
     assert _poisson_ppf(q, mu) == float(stats.poisson.ppf(q, mu))
+
+
+# ----------------------------------------------------------------------
+# Dense solves: one BLAS thread, one sojourn solve, pinned bits
+# ----------------------------------------------------------------------
+def _consensus3_solver() -> AnalyticSolver:
+    from repro.san.rewards import ActivityCounter
+    from repro.sanmodels.consensus_model import consensus_stop_predicate, latency_reward
+    from repro.sanmodels.exponential import exponential_consensus_model
+
+    return AnalyticSolver(
+        model_factory=lambda: exponential_consensus_model(3),
+        reward_factory=lambda: [latency_reward(), ActivityCounter(name="completions")],
+        stop_predicate=consensus_stop_predicate,
+    )
+
+
+#: Analytic values as ``float.hex``, recorded before the dense solves ran
+#: on one BLAS thread; a different LU pivot order would move the last bits.
+ANALYTIC_GOLDENS = {
+    "fd-pair": {"suspect_fraction": "0x1.9999999999972p-4"},
+    "unicast-burst": {
+        "all_delivered": "0x1.baaab70db677cp-2",
+        "completions": "0x1.8000000000000p+4",
+    },
+    "consensus-n3": {
+        "latency": "0x1.f9d9120bb42cdp-2",
+        "completions": "0x1.3e4058c79bc77p+5",
+    },
+}
+
+
+def test_analytic_values_of_the_compare_models_are_bit_identical():
+    from repro.experiments.solver_compare import COMPARE_MODELS
+
+    for spec in COMPARE_MODELS:
+        result = AnalyticSolver(
+            model_factory=spec.model_factory,
+            reward_factory=spec.reward_factory,
+            stop_predicate=spec.stop_predicate,
+            max_time=spec.max_time,
+        ).solve()
+        hexed = {name: float(value).hex() for name, value in result.rewards.items()}
+        assert hexed == ANALYTIC_GOLDENS[spec.key], spec.key
+    consensus = _consensus3_solver().solve()
+    assert {
+        name: float(value).hex() for name, value in consensus.rewards.items()
+    } == ANALYTIC_GOLDENS["consensus-n3"]
+
+
+def test_steady_state_is_bit_identical():
+    from repro.experiments.solver_compare import fd_pair_model
+
+    solver = AnalyticSolver(model_factory=fd_pair_model, reward_factory=lambda: [])
+    assert [float(p).hex() for p in solver.steady_state()] == [
+        "0x1.9999999999996p-4",
+        "0x1.ccccccccccccep-1",
+    ]
+
+
+def test_an_absorbing_solve_solves_its_sojourn_system_once(monkeypatch):
+    solved = []
+    original = AnalyticSolver._solve_sojourn
+
+    def counting(self, target_mask):
+        solved.append(target_mask.tobytes())
+        return original(self, target_mask)
+
+    monkeypatch.setattr(AnalyticSolver, "_solve_sojourn", counting)
+    solver = _consensus3_solver()
+    first = solver.solve()
+    # solve() and the latency reward's first passage target the same set.
+    assert len(solved) == 1
+    # A cached vector is handed out as a copy.
+    solver.expected_sojourn_times(solver.state_space.absorbing)[:] = -1.0
+    assert solver.solve().rewards == first.rewards
+    assert len(solved) == 1
+
+
+def test_dense_solves_run_on_one_blas_thread_and_restore_the_count():
+    np.linalg.solve(np.eye(2), np.ones(2))  # the BLAS library is loaded
+    analytic._blas_thread_controls.cache_clear()  # looked up afresh
+    controls = analytic._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = [getter() for _setter, getter in controls]
+    with pytest.raises(ZeroDivisionError):
+        with analytic._one_blas_thread():
+            assert [getter() for _setter, getter in controls] == [1] * len(controls)
+            1 / 0
+    assert [getter() for _setter, getter in controls] == before

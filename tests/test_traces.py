@@ -426,6 +426,21 @@ def test_event_logs_pickle_as_rows_and_round_trip_exactly(events):
         assert b"TraceEvent" not in blob
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_EVENTS, max_size=40))
+def test_loaded_event_logs_decode_their_rows_on_first_use(events):
+    log = _log_of(events)
+    loaded = pickle.loads(pickle.dumps(log, protocol=pickle.HIGHEST_PROTOCOL))
+    assert len(loaded) == len(log)
+    # An undecoded log re-pickles its rows as they came.
+    assert pickle.loads(pickle.dumps(loaded)).entries == log.entries
+    assert loaded._rows is not None  # neither len() nor pickling decoded it
+    assert loaded == log
+    assert loaded._rows is None
+    loaded.append(TraceEvent(kind=TIMER, time_ms=99.0, process=0))
+    assert len(loaded) == len(log) + 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_EVENTS, max_size=40))
 def test_hb_vector_clocks_are_computed_on_first_use(events):
