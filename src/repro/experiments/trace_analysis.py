@@ -85,8 +85,9 @@ def trace_fault_load(replication: int, horizon_ms: float) -> FaultLoad:
 
 
 @dataclass
-class TracedReplication:
-    """One traced replication of the campaign (picklable sweep result)."""
+class ReplicationSummary:
+    """What the result keeps of one traced replication: its outcome and the
+    size of its event log, not the log itself."""
 
     replication: int
     crash_injected: bool
@@ -94,15 +95,28 @@ class TracedReplication:
     undecided: int
     messages_dropped: int
     fd_transitions: int
+    events: int
     features: Dict[str, float] = field(default_factory=dict)
-    event_log: EventLog = field(default_factory=EventLog)
+
+
+@dataclass
+class TracedReplication:
+    """One traced replication of the campaign (picklable sweep result)."""
+
+    summary: ReplicationSummary
+    event_log: EventLog
 
 
 @dataclass
 class TraceAnalysisResult:
-    """The clustered campaign plus the worst replication's explanation."""
+    """The clustered campaign plus the worst replication's explanation.
 
-    replications: List[TracedReplication] = field(default_factory=list)
+    Aggregation reads only the worst and the nominal exemplar's logs, so
+    the result keeps per-replication summaries and the logs stay in the
+    cached points.
+    """
+
+    replications: List[ReplicationSummary] = field(default_factory=list)
     labels: List[int] = field(default_factory=list)
     clusters: List[Dict[str, Any]] = field(default_factory=list)
     noise: Tuple[int, ...] = ()
@@ -134,16 +148,17 @@ def _trace_point(
     )
     result = MeasurementRunner(config).run()
     assert result.event_log is not None  # collect_traces=True guarantees it
-    return TracedReplication(
+    summary = ReplicationSummary(
         replication=replication,
         crash_injected=any(isinstance(f, CrashRecovery) for f in load.faults),
         mean_latency_ms=result.mean_latency_ms,
         undecided=result.undecided,
         messages_dropped=result.messages_dropped,
         fd_transitions=len(result.fd_history),
+        events=len(result.event_log),
         features=featurize_measurement(result),
-        event_log=result.event_log,
     )
+    return TracedReplication(summary=summary, event_log=result.event_log)
 
 
 def trace_analysis_plan(settings: ExperimentSettings) -> ReplicationPlan:
@@ -160,9 +175,9 @@ def trace_analysis_plan(settings: ExperimentSettings) -> ReplicationPlan:
     return ReplicationPlan(settings=settings, points=points, name="traceanalysis")
 
 
-def _pick_worst(replications: List[TracedReplication]) -> int:
+def _pick_worst(replications: List[ReplicationSummary]) -> int:
     """The most anomalous replication: most undecided, then slowest."""
-    def badness(rep: TracedReplication) -> Tuple[int, float]:
+    def badness(rep: ReplicationSummary) -> Tuple[int, float]:
         latency = rep.mean_latency_ms
         return (rep.undecided, latency if math.isfinite(latency) else 0.0)
 
@@ -174,7 +189,7 @@ def _pick_worst(replications: List[TracedReplication]) -> int:
 
 
 def _pick_nominal(
-    replications: List[TracedReplication], labels: List[int], worst: int
+    replications: List[ReplicationSummary], labels: List[int], worst: int
 ) -> int:
     """A nominal exemplar: fastest replication outside the worst's cluster."""
     worst_label = labels[worst]
@@ -219,9 +234,11 @@ def aggregate_trace_analysis(
     pairs: Iterable[Tuple[SweepPoint, Any]],
 ) -> TraceAnalysisResult:
     """Cluster the streamed replications and explain the worst one."""
-    replications: List[TracedReplication] = sorted(
-        (traced for _point, traced in pairs), key=lambda traced: traced.replication
+    traced: List[TracedReplication] = sorted(
+        (traced for _point, traced in pairs),
+        key=lambda traced: traced.summary.replication,
     )
+    replications = [rep.summary for rep in traced]
     result = TraceAnalysisResult(replications=replications)
     if not replications:
         return result
@@ -245,7 +262,7 @@ def aggregate_trace_analysis(
     result.worst = _pick_worst(replications)
     result.nominal_exemplar = _pick_nominal(replications, clustering.labels, result.worst)
 
-    worst_log = replications[result.worst].event_log
+    worst_log = traced[result.worst].event_log
     graph = build_hb_graph(worst_log, n_processes=N_PROCESSES)
     anchor = _find_anchor(graph)
     if anchor is not None:
@@ -257,7 +274,7 @@ def aggregate_trace_analysis(
         result.fault_in_slice = any(
             graph.events[index].kind == CRASH for index in causal_slice
         )
-    diff = diff_logs(worst_log, replications[result.nominal_exemplar].event_log)
+    diff = diff_logs(worst_log, traced[result.nominal_exemplar].event_log)
     result.explanation = [
         {
             "description": step.description,
@@ -298,7 +315,7 @@ def format_trace_analysis(result: TraceAnalysisResult) -> str:
         lines.append(
             f"{rep.replication:<4d} {str(rep.crash_injected):<6s} {label:>7d}  "
             f"{mean}   {rep.undecided:6d}   {rep.messages_dropped:7d}   "
-            f"{rep.fd_transitions:8d}   {len(rep.event_log):6d}"
+            f"{rep.fd_transitions:8d}   {rep.events:6d}"
         )
     lines.append("")
     lines.append("clusters (most anomalous first):")
@@ -349,7 +366,7 @@ def trace_analysis_record(result: TraceAnalysisResult) -> Dict[str, Any]:
                 "undecided": rep.undecided,
                 "messages_dropped": rep.messages_dropped,
                 "fd_transitions": rep.fd_transitions,
-                "events": len(rep.event_log),
+                "events": rep.events,
                 "features": dict(sorted(rep.features.items())),
             }
             for index, rep in enumerate(result.replications)
@@ -391,7 +408,7 @@ def trace_analysis_rows(result: TraceAnalysisResult):
                 rep.undecided,
                 rep.messages_dropped,
                 rep.fd_transitions,
-                len(rep.event_log),
+                rep.events,
             ]
         )
     return header, rows

@@ -1,27 +1,27 @@
 """Lock-step batched execution of SAN replications.
 
 :class:`BatchedSANExecutor` runs ``B`` independent replications of one
-model together: the markings live in a persistent ``B x places`` token
-matrix (one row per replication; per-row :class:`RowMarking` adapters
-are views into it), scheduled timed completions in a ``B x timed``
-completion-time matrix, and each simulation round advances every active
-row by exactly one timed event -- selected with one vectorised
-``min``/``argmin`` over the completion matrix instead of ``B`` binary
-heaps.  Initial activation evaluates input arcs as one vectorised mask
-over the whole matrix, from the compiled model's padded timed arc table
-(:class:`~repro.san.compiled.ArcTable`).
+model together: each row's marking is a Python token list (with a
+:class:`RowMarking` adapter over it), scheduled timed completions live
+in a ``B x timed`` completion-time matrix, and each simulation round
+advances every active row by exactly one timed event -- selected with
+one vectorised ``min``/``argmin`` over the completion matrix instead of
+``B`` binary heaps.  Initial activation evaluates input arcs as one
+vectorised mask over the distinct start rows, from the compiled model's
+padded timed arc table (:class:`~repro.san.compiled.ArcTable`).
 
-The instantaneous chains that follow each round's completions run as
-**one matrix-level walk across every chaining row at once**
-(:meth:`_fire_chain_matrix`): candidate sets are integer bitmasks built
-from the compiled model's per-place dependency masks, and each chain
-round checks every instantaneous activity's input arcs for every
-chaining row against the padded instantaneous arc table -- one ``>=``
-per arc slot, ANDed, then one ``np.packbits`` into an integer arc
-bitmask per row.  Only the parts the matrix cannot express stay per
-row -- gate predicates, case selection and the completion effects
-themselves -- and those are evaluated in the oracle's rank order, only
-for candidates the vectorised arc check has already passed.
+The instantaneous chains that follow each round's completions run
+**lock-step across every chaining row** (:meth:`_fire_chain`), on
+integer bitmasks only.  Candidate sets are built from the compiled
+model's per-place dependency masks.  Arc enablement is kept per row as
+*arc words*, one integer per instantaneous arc slot (bit ``j`` of word
+``s``: activity ``j``'s slot-``s`` arc holds), which every completion
+updates from the places it changed
+(:attr:`~repro.san.compiled.CompiledSANModel.inst_arc_groups`), so a
+chain step checks arcs with one AND per slot.  Gate predicates, case
+selection and the completion effects themselves stay per row and are
+evaluated in the oracle's rank order, only for candidates whose arcs
+hold.
 
 This is the only executor :class:`~repro.san.solver.SimulativeSolver`
 runs; a single replication is a batch of one.
@@ -100,7 +100,12 @@ class SANExecutionError(RuntimeError):
 
 @dataclass
 class ExecutionResult:
-    """Outcome of one replication."""
+    """Outcome of one replication.
+
+    The batched executor's ``final_marking`` is a :class:`RowMarking`
+    over a copy of the row's tokens: the full place dictionary is built
+    only if someone reads it (the solver never does).
+    """
 
     end_time: float
     stopped_by_predicate: bool
@@ -115,7 +120,7 @@ class _Row:
     __slots__ = (
         "index",
         "tokens",
-        "mirror",
+        "arc_words",
         "marking",
         "streams",
         "rewards",
@@ -133,20 +138,18 @@ class _Row:
         self,
         index: int,
         tokens: List[int],
-        mirror: np.ndarray,
         marking: RowMarking,
         streams: RandomStreams,
         rewards: List[RewardVariable],
         n_timed: int,
     ) -> None:
         self.index = index
-        #: Python-list token store (fast element reads for gates, rewards
-        #: and completion effects) ...
+        #: The row's only token store, indexed by place.
         self.tokens = tokens
-        #: ... and its view of this row in the executor's token matrix:
-        #: every write updates both, so vectorised passes read the matrix
-        #: without re-assembling it.
-        self.mirror = mirror
+        #: Instantaneous arc words (one per arc slot; their AND is the
+        #: row's arc bitmask), set at run start and kept current by every
+        #: completion.
+        self.arc_words: List[int] = []
         self.marking = marking
         self.streams = streams
         self.rewards = rewards
@@ -178,6 +181,18 @@ class _Row:
         self.now = 0.0
         self.completions = 0
         self.stopped = False
+
+
+def _equal_runs(rows: Sequence[_Row]) -> Tuple[List[List[int]], List[int]]:
+    """The rows' token lists with runs of equal neighbours merged, and each
+    row's position among them (batches mostly start from one marking)."""
+    starts: List[List[int]] = []
+    start_of: List[int] = []
+    for row in rows:
+        if not starts or row.tokens != starts[-1]:
+            starts.append(row.tokens)
+        start_of.append(len(starts) - 1)
+    return starts, start_of
 
 
 class BatchedSANExecutor:
@@ -233,13 +248,6 @@ class BatchedSANExecutor:
         n_columns = max(1, self._compiled.n_timed)
         self._comp = np.full((len(streams), n_columns), _INF, dtype=np.float64)
         self._seqs = np.zeros((len(streams), n_columns), dtype=np.int64)
-        #: The persistent ``B x places`` token matrix, kept in lock-step
-        #: with the per-row token lists (every write mirrors into it), so
-        #: vectorised passes (arc masks, the matrix chain) read current
-        #: state without re-assembling anything from per-row storage.
-        self._tokens = np.zeros(
-            (len(streams), self._compiled.n_places), dtype=np.int64
-        )
         #: Constant-duration samplers are marking- and stream-independent,
         #: so one closure per activity serves every row of the batch.
         self._constant_samplers: Dict[int, DurationSampler] = {}
@@ -251,16 +259,11 @@ class BatchedSANExecutor:
             zip(streams, rewards_per_row, initial_markings, strict=True)
         ):
             tokens, overflow = self._initial_tokens(initial)
-            self._tokens[index] = tokens
-            mirror = self._tokens[index]
-            marking = RowMarking(self._compiled, tokens, mirror)
-            if overflow:
-                marking._overflow.update(overflow)
+            marking = RowMarking(self._compiled, tokens, overflow)
             self._rows.append(
                 _Row(
                     index,
                     tokens,
-                    mirror,
                     marking,
                     row_streams,
                     list(row_rewards),
@@ -304,13 +307,15 @@ class BatchedSANExecutor:
         return self._rows[0].marking
 
     def tokens_matrix(self) -> np.ndarray:
-        """The current ``B x places`` token matrix (a snapshot copy)."""
-        return self._tokens.copy()
+        """The current ``B x places`` token matrix, built from the rows."""
+        return np.array(
+            [row.tokens for row in self._rows], dtype=np.int64
+        ).reshape(len(self._rows), self._compiled.n_places)
 
     def enabled_mask(
         self, activities: Optional[Sequence[CompiledActivity]] = None
     ) -> np.ndarray:
-        """Vectorised full-enablement mask over the current token matrix.
+        """Vectorised full-enablement mask over :meth:`tokens_matrix`.
 
         Defaults to all activities (timed then instantaneous); a
         ``B x len(activities)`` boolean array.
@@ -374,10 +379,14 @@ class BatchedSANExecutor:
 
         # Start-up, mirroring SANExecutor.run: clear the journal, reset
         # rewards, check the stop predicate on the initial marking, then
-        # stabilise instantaneous activities -- one matrix chain over
-        # every surviving row at once, all candidates considered.
+        # stabilise instantaneous activities -- one lock-step chain over
+        # every surviving row at once, all candidates considered.  Arc
+        # words are computed once per run of equal start rows.
+        starts, start_of = _equal_runs(self._rows)
+        start_words = [compiled.inst_arc_words(tokens) for tokens in starts]
         active: List[_Row] = []
-        for row in self._rows:
+        for row, start in zip(self._rows, start_of, strict=True):
+            row.arc_words = list(start_words[start])
             row.marking.take_changes()
             for reward in row.rewards:
                 reward.reset(row.marking, 0.0)
@@ -388,9 +397,7 @@ class BatchedSANExecutor:
             active.append(row)
         if active and compiled.n_inst:
             all_candidates = (1 << compiled.n_inst) - 1
-            self._fire_chain_matrix(
-                active, [all_candidates] * len(active), None
-            )
+            self._fire_chain(active, [all_candidates] * len(active), None)
             still_startup: List[_Row] = []
             for row in active:
                 if row.stopped:
@@ -399,19 +406,24 @@ class BatchedSANExecutor:
                     still_startup.append(row)
             active = still_startup
 
-        # Initial activation: one vectorised arc mask over all still-active
-        # rows, then per-row gate checks and scheduling in declaration
-        # order (the oracle's seq-assignment order).
+        # Initial activation: one vectorised arc mask over the runs of
+        # equal token rows still active, then per-row gate checks and
+        # scheduling in declaration order (the oracle's seq-assignment
+        # order).
         if active:
-            row_ids = [row.index for row in active]
-            arc_mask = compiled.timed_arcs.mask(self._tokens[row_ids])
-            for position, row in enumerate(active):
-                self._schedule_initial(row, arc_mask[position])
+            starts, start_of = _equal_runs(active)
+            masks = compiled.timed_arcs.mask(
+                np.array(starts, dtype=np.int64).reshape(
+                    len(starts), compiled.n_places
+                )
+            )
+            for row, start in zip(active, start_of, strict=True):
+                self._schedule_initial(row, masks[start])
 
         # Lock-step rounds: one timed event per active row per round,
         # selected with a single vectorised min/argmin over the
         # completion-time matrix, in three phases -- (1) per-row timed
-        # completion effects, (2) one matrix-level instantaneous chain
+        # completion effects, (2) one lock-step instantaneous chain
         # across every row that completed, (3) per-row timed refresh.
         comp = self._comp
         seqs = self._seqs
@@ -470,10 +482,10 @@ class BatchedSANExecutor:
                 chain_masks.append(bits)
                 chain_columns.append(column)
 
-            # Phase 2: one matrix chain across every row that completed;
-            # each row's changed-set accumulators are extended in place.
+            # Phase 2: one chain across every row that completed; each
+            # row's changed-set accumulators are extended in place.
             if chaining and n_inst:
-                self._fire_chain_matrix(chaining, chain_masks, chain_changes)
+                self._fire_chain(chaining, chain_masks, chain_changes)
 
             # Phase 3: re-evaluate the affected timed activities per row.
             # The refresh order is a pure function of (fired column,
@@ -559,7 +571,11 @@ class BatchedSANExecutor:
         Returns the changed ``(indices, names)`` plus the candidate
         bitmask of the instantaneous activities those changes affect --
         the case's precompiled static mask ORed with the masks of any
-        gate-written places.
+        gate-written places.  The row's arc words are recomputed for every
+        changed place (the case's static set, then the gate-written
+        places) from its value after the whole completion; every token
+        write goes through one of the two sets, so the words stay equal
+        to ones computed from scratch.
         """
         marking = row.marking
         case = activity.single_case
@@ -571,7 +587,6 @@ class BatchedSANExecutor:
             chosen = activity.activity.choose_case(marking, rng)
             case = activity.case_lookup[id(chosen)]  # repro: ignore[DET005] identity lookup of the exact Case object choose_case returned; no ordering involved
         tokens = row.tokens
-        mirror = row.mirror
         # SAN completion order: input arcs, input gate functions, output
         # arcs of the chosen case, output gate functions.  Arc weights are
         # >= 1, so every arc write changes its place's count -- the case's
@@ -587,23 +602,33 @@ class BatchedSANExecutor:
                     f"negative ({value})"
                 )
             tokens[place] = value
-            mirror[place] = value
         for gate in activity.input_gates:
             gate.apply(marking)
         for place, weight in case.output_arcs:
-            value = tokens[place] + weight
-            tokens[place] = value
-            mirror[place] = value
+            tokens[place] += weight
         for out_gate in case.output_gates:
             out_gate.apply(marking)
         gate_idx, changed_names = marking.take_changes()
+        words = row.arc_words
+        for place, slot, weight, group_bits in case.word_updates:
+            if tokens[place] >= weight:
+                words[slot] |= group_bits
+            else:
+                words[slot] &= ~group_bits
         changed_idx = set(case.change_idx)
         bits = case.candidate_bits
         if gate_idx:
             changed_idx |= gate_idx
             by_place = self._compiled.inst_bits_by_place
+            groups = self._compiled.inst_arc_groups
             for place in gate_idx:
                 bits |= by_place.get(place, 0)
+                value = tokens[place]
+                for slot, weight, group_bits in groups[place]:
+                    if value >= weight:
+                        words[slot] |= group_bits
+                    else:
+                        words[slot] &= ~group_bits
         if changed_names:
             by_unknown = self._compiled.inst_bits_by_unknown
             for name in changed_names:
@@ -620,7 +645,7 @@ class BatchedSANExecutor:
             row.stopped = True
         return changed_idx, changed_names, bits
 
-    def _fire_chain_matrix(
+    def _fire_chain(
         self,
         rows: List[_Row],
         masks: List[int],
@@ -635,32 +660,26 @@ class BatchedSANExecutor:
         start-up, where the changes feed nothing: initial activation
         re-evaluates everything).
 
-        Each chain round makes *one* vectorised arc-enablement pass over
-        every still-chaining row -- one integer arc bitmask per row from
-        the padded instantaneous arc table
-        (:meth:`~repro.san.compiled.ArcTable.words`) -- then walks
-        each row's arc-enabled candidates from the lowest set bit upward,
-        evaluating gate predicates per row until the first fully-enabled
-        candidate fires.  That fires exactly what the oracle's full
-        rank-ordered scan fires: the marking is constant during a round's
-        walk, so checking arcs up front observes the same state an
-        interleaved walk does.
+        Each chain round ANDs every still-chaining row's candidates with
+        its arc words (kept current by :meth:`_complete`), then walks the
+        arc-enabled candidates from the lowest set bit upward, evaluating
+        gate predicates until the first fully-enabled candidate fires.
+        That fires exactly what the oracle's full rank-ordered scan fires:
+        the marking is constant during a round's walk, so checking arcs up
+        front observes the same state an interleaved walk does.
 
         A candidate *verified* disabled (by arcs or a gate) is dropped
         from its row's mask: it can only become enabled again through a
         marking change, and every change re-adds the activities indexed
         under the changed places (conservative ones are re-added after
         every completion) -- so the drop never changes which activity
-        fires next.  The vectorised arc pass also verifies candidates
-        *beyond* the round's firing point; dropping those is sound by the
+        fires next.  The arc check also verifies candidates *beyond* the
+        round's firing point; dropping those is sound by the
         same argument, since input-arc places are always part of an
         activity's dependency index.  A row leaves the chain when no
         candidate fires (drained) or its stop predicate triggers.
         """
-        compiled = self._compiled
-        instantaneous = compiled.instantaneous
-        tokens_matrix = self._tokens
-        inst_arcs = compiled.inst_arcs
+        instantaneous = self._compiled.instantaneous
         complete = self._complete
         positions = [
             position for position in range(len(rows)) if masks[position]
@@ -668,19 +687,16 @@ class BatchedSANExecutor:
         for _ in range(MAX_INSTANTANEOUS_CHAIN):
             if not positions:
                 return
-            # One arc bitmask per chaining row, so the per-row bookkeeping
-            # below is pure integer bit arithmetic.
-            arc_words = inst_arcs.words(
-                tokens_matrix[[rows[position].index for position in positions]]
-            )
             next_positions: List[int] = []
-            for position, arc_word in zip(positions, arc_words, strict=True):
+            for position in positions:
+                row = rows[position]
                 # Arc-disabled candidates are verified disabled: drop.
-                viable = masks[position] & arc_word
+                viable = masks[position]
+                for word in row.arc_words:
+                    viable &= word
                 masks[position] = viable
                 if not viable:
                     continue
-                row = rows[position]
                 marking = row.marking
                 fired = None
                 while viable:
@@ -861,7 +877,9 @@ class BatchedSANExecutor:
             stopped_by_predicate=row.stopped,
             dead_marking=dead,
             completions=row.completions,
-            final_marking=row.marking.copy(),
+            final_marking=RowMarking(
+                self._compiled, list(row.tokens), row.marking._overflow
+            ),
         )
 
 

@@ -1,15 +1,15 @@
 """Compilation of SAN models to index-based execution tables.
 
 :class:`CompiledSANModel` lowers a :class:`~repro.san.model.SANModel` to
-integer-indexed structures: places become column indices into a token
-matrix, input/output arc effects become ``(place_index, weight)`` tuples
+integer-indexed structures: places become indices into a token row,
+input/output arc effects become ``(place_index, weight)`` tuples
 and, per activity kind, one padded :class:`ArcTable`, and the opaque
 parts -- gate predicates and functions, marking-dependent case
 probabilities, duration distributions -- stay as the original closures
 but re-keyed by activity index.  The compiled form is what
 :class:`~repro.san.batched.BatchedSANExecutor` interprets: ``B``
-replications advance lock-step over a ``B x places`` token matrix instead
-of ``B`` independent object-graph walks.
+replications advance lock-step, each over a flat token list indexed by
+place, instead of ``B`` independent object-graph walks.
 
 The compiled model is derived purely from the model's immutable shape,
 built once and cached on the model instance keyed by
@@ -42,7 +42,7 @@ contract of :mod:`repro.san.solver` -- intact.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -113,6 +113,7 @@ class CompiledCase:
         "output_gates",
         "change_idx",
         "candidate_bits",
+        "word_updates",
     )
 
     def __init__(
@@ -136,6 +137,11 @@ class CompiledCase:
         #: the static changed set (conservatives included).  Filled in by
         #: :class:`CompiledSANModel` once the dependency bit tables exist.
         self.candidate_bits: int = 0
+        #: ``(place, slot, weight, bits)`` of every instantaneous arc group
+        #: (:attr:`CompiledSANModel.inst_arc_groups`) over ``change_idx``:
+        #: the arc words a completion through this case must recompute.
+        #: Filled in by :class:`CompiledSANModel`.
+        self.word_updates: Tuple[Tuple[int, int, int, int], ...] = ()
 
 
 class CompiledActivity:
@@ -212,7 +218,7 @@ class CompiledActivity:
                     self.duration_kind = DURATION_BATCHED
 
     def enabled(self, tokens: Sequence[int], marking: Marking) -> bool:
-        """The SAN enabling rule over one row of the token matrix."""
+        """The SAN enabling rule over one token row."""
         for place, weight in self.input_arcs:
             if tokens[place] < weight:
                 return False
@@ -292,6 +298,7 @@ class CompiledSANModel:
         "global_inst_bits",
         "inst_bits_by_place",
         "inst_bits_by_unknown",
+        "inst_arc_groups",
         "timed_arcs",
         "inst_arcs",
         "n_places",
@@ -376,7 +383,7 @@ class CompiledSANModel:
         }
 
         # Bitmask twins of the instantaneous dependency indexes, for the
-        # batched executor's matrix-level chain: bit ``i`` stands for
+        # batched executor's chain: bit ``i`` stands for
         # firing-precedence position ``i``, so OR-ing the masks of the
         # changed places rebuilds the candidate set with one integer OR
         # per place, and the *lowest set bit* of a candidate mask is the
@@ -392,21 +399,58 @@ class CompiledSANModel:
             for name, activities in self.inst_by_unknown.items()  # repro: ignore[DET001] re-keying only; the result is read by .get(key), never iterated in order
         }
 
+        # One padded arc table per activity kind: the timed one drives
+        # initial activation, both serve the introspection masks.
+        self.timed_arcs = ArcTable(self.timed)
+        self.inst_arcs = ArcTable(self.instantaneous)
+
+        # Arc words: the executor keeps, per row, one integer per slot of
+        # the instantaneous arc table, bit ``j`` of word ``s`` set while
+        # activity ``j``'s slot-``s`` arc holds (padding slots always
+        # hold), so the AND of a row's words is its arc bitmask.  Group
+        # ``(slot, weight, bits)`` of place ``p`` holds the activities
+        # whose slot-``slot`` arc reads ``p`` with ``weight``: a change of
+        # ``p`` sets or clears exactly those bits, and no bit belongs to
+        # two places, so updates over a changed set commute.
+        groups: List[Dict[Tuple[int, int], int]] = [{} for _ in self.place_names]
+        for compiled in self.instantaneous:
+            for slot, (place, weight) in enumerate(compiled.input_arcs):
+                key = (slot, weight)
+                groups[place][key] = groups[place].get(key, 0) | 1 << compiled.index
+        self.inst_arc_groups: Tuple[Tuple[Tuple[int, int, int], ...], ...] = tuple(
+            tuple((slot, weight, bits) for (slot, weight), bits in sorted(by_key.items()))
+            for by_key in groups
+        )
+
         # Pre-resolve each case's static candidate bitmask (the arcs of a
         # completion are fixed per case, so its candidate set is too, up
-        # to gate writes, which the executor ORs in dynamically).
+        # to gate writes, which the executor ORs in dynamically) and the
+        # arc-word groups of its static changed set.
         for compiled in self.timed + self.instantaneous:
             for compiled_case in compiled.cases:
                 bits = self.global_inst_bits
                 for place in compiled_case.change_idx:
                     bits |= self.inst_bits_by_place.get(place, 0)
                 compiled_case.candidate_bits = bits
+                compiled_case.word_updates = tuple(
+                    (place, slot, weight, group_bits)
+                    for place in sorted(compiled_case.change_idx)
+                    for slot, weight, group_bits in self.inst_arc_groups[place]
+                )
 
-        # One padded arc table per activity kind, the only vectorised arc
-        # check: the timed one drives initial activation, the
-        # instantaneous one every round of the batched executor's chain.
-        self.timed_arcs = ArcTable(self.timed)
-        self.inst_arcs = ArcTable(self.instantaneous)
+    def inst_arc_words(self, tokens: Sequence[int]) -> List[int]:
+        """The arc words of one token row, computed from scratch.
+
+        One word per instantaneous arc slot; their AND is ``inst_arcs``'s
+        :meth:`ArcTable.words` for the row, up to the padding columns.
+        """
+        words = [(1 << self.n_inst) - 1] * len(self.inst_arcs.places)
+        for place, place_groups in enumerate(self.inst_arc_groups):
+            value = tokens[place]
+            for slot, weight, bits in place_groups:
+                if value < weight:
+                    words[slot] &= ~bits
+        return words
 
     def _inst_bits(self, activities: Sequence[CompiledActivity]) -> int:
         bits = 0
@@ -502,14 +546,15 @@ def compile_model(model: SANModel) -> CompiledSANModel:
 
 
 class RowMarking(Marking):
-    """A :class:`~repro.san.marking.Marking` view of one token-matrix row.
+    """A :class:`~repro.san.marking.Marking` view of one executor row's tokens.
 
     Gate closures, reward variables, case-probability callables and stop
     predicates receive this adapter, so the batched executor feeds the
     exact same callable interfaces as a plain marking.  Reads and writes
     resolve place names to row indices through the compiled place table;
-    writes journal the changed *indices* (consumed by the batched
-    executor's dependency walk).  Names outside the compiled model --
+    writes go to the row's token list, the executor's only token store,
+    and journal the changed *indices* (consumed by the batched executor's
+    dependency walk and arc-word update).  Names outside the compiled model --
     reachable only through gate closures writing undeclared places, which
     arc validation cannot see -- spill into a per-row overflow mapping and
     are journalled by name, like a plain marking.
@@ -519,7 +564,6 @@ class RowMarking(Marking):
         "_compiled",
         "_index",
         "_row",
-        "_mirror",
         "_overflow",
         "_changed_idx",
         "_changed_names",
@@ -529,24 +573,17 @@ class RowMarking(Marking):
         self,
         compiled: CompiledSANModel,
         row: List[int],
-        mirror: "np.ndarray | None" = None,
+        overflow: Optional[Dict[str, int]] = None,
     ) -> None:
         # Deliberately does NOT call Marking.__init__: token storage is the
         # shared row list, not a private dict.  Marking's derived helpers
         # (add/remove/has/set_all/__eq__) all route through the overridden
         # accessors below, and Activity.enabled's `_tokens` fast path falls
         # back to the mapping interface for this class (the slot is unset).
-        #
-        # ``mirror`` is an optional view of this row in the executor's
-        # persistent token matrix: scalar reads stay on the fast Python
-        # list, while every write is duplicated into the matrix so the
-        # vectorised passes (arc masks, the matrix chain) always see
-        # current state.
         self._compiled = compiled
         self._index = compiled.place_index
         self._row = row
-        self._mirror = mirror
-        self._overflow: Dict[str, int] = {}
+        self._overflow: Dict[str, int] = dict(overflow) if overflow else {}
         self._changed_idx: Set[int] = set()
         self._changed_names: Set[str] = set()
 
@@ -580,8 +617,6 @@ class RowMarking(Marking):
         if self._row[index] != count:
             self._changed_idx.add(index)
         self._row[index] = count
-        if self._mirror is not None:
-            self._mirror[index] = count
 
     def __contains__(self, place: PlaceRef) -> bool:
         name = place if isinstance(place, str) else place.name
@@ -647,6 +682,10 @@ class RowMarking(Marking):
         clone._tokens = self.as_dict()
         clone._changed = set()
         return clone
+
+    def __reduce__(self) -> Tuple[type, Tuple[Dict[str, int]]]:
+        # Pickles as the plain Marking it stands for, not as a view.
+        return Marking, (self.as_dict(),)
 
     def freeze(self) -> FrozenMarking:
         """An immutable :class:`FrozenMarking` snapshot of this row."""

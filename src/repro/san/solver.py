@@ -58,10 +58,10 @@ ModelFactory = Callable[[], SANModel]
 RewardFactory = Callable[[], Sequence[RewardVariable]]
 
 #: Cell budget of :func:`auto_batch_size`.  The lock-step executor's
-#: per-round working set is roughly ``batch x (places + activities)``
-#: matrix cells (the token matrix, enablement masks and pre-drawn
-#: duration columns); sizing batches to this budget (~1 MiB of int64
-#: cells) keeps that working set cache-resident without starving the
+#: working set is roughly ``batch x (places + activities)`` cells (each
+#: row's token list, the ``B x timed`` completion-time and sequence
+#: matrices and pre-drawn duration batches); sizing batches to this
+#: budget keeps that working set cache-resident without starving the
 #: vectorised rounds of rows.
 AUTO_BATCH_CELL_BUDGET = 131_072
 
@@ -79,8 +79,9 @@ def auto_batch_size(model: SANModel) -> int:
     the model *structure* (places x activities, duration-kind mix), so
     the chosen size -- like any explicit size -- never changes results,
     only throughput.  Small models get wide batches (more rows amortise
-    each vectorised round), large models get narrower ones (each row
-    already carries many matrix cells per round).  Models dominated by
+    each vectorised ``min``/``argmin`` round over the completion-time
+    matrix), large models get narrower ones (each row already carries
+    many token and completion cells).  Models dominated by
     generic-duration activities are halved: their draws happen per
     completion on the scalar path rather than in pre-drawn batch
     columns, so extra rows amortise less there.

@@ -10,6 +10,8 @@ termination semantics (horizon, dead marking, initial stop).
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.des.simulator import Simulator
@@ -17,7 +19,9 @@ from repro.san import (
     AnalyticSolver,
     BatchedSANExecutor,
     Case,
+    InstantaneousActivity,
     Marking,
+    OutputGate,
     Place,
     SANModel,
     TimedActivity,
@@ -297,6 +301,9 @@ def test_dead_marking_advances_to_the_horizon():
     assert outcome.completions == 2
     assert outcome.end_time == 10.0  # clock still advances to the horizon
     assert outcome.final_marking == Marking({"fuel": 0, "ash": 2})
+    # The final marking is a row view; it pickles as a plain Marking.
+    loaded = pickle.loads(pickle.dumps(outcome))
+    assert loaded == outcome and type(loaded.final_marking) is Marking
 
 
 def test_dead_marking_without_horizon_stops_at_last_event():
@@ -348,6 +355,73 @@ def test_initial_marking_override_matches_scalar():
     assert batched.completions == oracle.completions == 1
     assert batched.final_marking == oracle.final_marking
     assert batched.final_marking["bonus"] == 4
+
+
+def _gate_armed_model() -> SANModel:
+    """An output gate zeroes or restores ``armed``, an instantaneous input.
+
+    ``tick`` sets ``armed`` to 1 or 0 (one case each) through output gates
+    only, so the batched executor learns of the change from the gate
+    journal, not from the case's arcs.  ``fire`` reads ``armed`` and
+    ``ready`` through input arcs and drains ``ready`` in one chain while
+    armed.
+    """
+
+    def arm(marking: Marking) -> None:
+        marking["armed"] = 1
+
+    def disarm(marking: Marking) -> None:
+        marking["armed"] = 0
+
+    model = SANModel("gate-armed")
+    for name, initial in (("clock", 1), ("armed", 0), ("ready", 0), ("fired", 0)):
+        model.add_place(Place(name, initial))
+    model.add_activity(
+        TimedActivity(
+            "tick",
+            Exponential(1.0),
+            input_arcs=["clock"],
+            cases=[
+                Case.build(0.5, ["clock"], [OutputGate("arm", arm)]),
+                Case.build(0.5, ["clock"], [OutputGate("disarm", disarm)]),
+            ],
+        )
+    )
+    model.add_activity(
+        TimedActivity(
+            "prepare", Exponential(0.4), cases=[Case.build(output_arcs=["ready"])]
+        )
+    )
+    model.add_activity(
+        InstantaneousActivity(
+            "fire",
+            input_arcs=["armed", "ready"],
+            cases=[Case.build(output_arcs=["armed", "fired"])],
+        )
+    )
+    return model
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_gate_written_arc_places_match_the_oracle(batch):
+    # A stale arc word for ``armed`` would either keep ``fire`` off after
+    # ``arm`` (it fires later than the oracle's) or let it fire after
+    # ``disarm`` (a negative marking): every row's trajectory must be the
+    # oracle's.
+    seeds = [40 + row for row in range(batch)]
+    recorders = [TraceRecorder() for _ in seeds]
+    outcomes = BatchedSANExecutor.for_batch(
+        _gate_armed_model(), seeds, [[recorder] for recorder in recorders]
+    ).run_batch(until=30.0)
+    for seed, recorder, outcome in zip(seeds, recorders, outcomes, strict=True):
+        expected_recorder = TraceRecorder()
+        expected = SANExecutor(
+            _gate_armed_model(), Simulator(seed=seed), rewards=[expected_recorder]
+        ).run(until=30.0)
+        assert recorder.events == expected_recorder.events, seed
+        assert outcome == expected, seed
+        fired = [event for event in recorder.events if event[0] == "fire"]
+        assert fired and outcome.final_marking["fired"] == len(fired), seed
 
 
 def test_run_requires_a_single_row():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Set
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,12 +200,12 @@ def test_batched_enablement_mask_agrees_with_full_reevaluation(data):
 @settings(max_examples=20, deadline=None)
 def test_matrix_instantaneous_firing_agrees_with_reference_executor(data):
     # Start a batch from random consensus markings -- many of which enable
-    # instantaneous activities immediately, so the matrix-level chain
+    # instantaneous activities immediately, so the lock-step chain
     # walker (batched.py) fires whole cascades at start-up -- and hold
     # every row to the oracle run of the same (marking, seed): identical
     # end time, completion count and final marking.  The oracle
     # re-evaluates everything from scratch each step, so agreement here
-    # pins the matrix chain's firing *order* contract, not just its
+    # pins the chain's firing *order* contract, not just its
     # enablement bookkeeping.
     batch = []
     for row in range(data.draw(st.integers(min_value=1, max_value=3))):
@@ -250,3 +251,60 @@ def test_matrix_instantaneous_firing_agrees_with_reference_executor(data):
         assert outcome.end_time == expected.end_time, row
         assert outcome.completions == expected.completions, row
         assert outcome.final_marking == expected.final_marking, row
+
+
+class _WordCheckingExecutor(BatchedSANExecutor):
+    """Checks every row's arc words after each completion against the
+    padded arc table recomputed from the row's tokens."""
+
+    checked = 0
+
+    def _complete(self, row, activity):
+        outcome = super()._complete(row, activity)
+        compiled = self._compiled
+        full = (1 << compiled.n_inst) - 1
+        word = full
+        for slot_word in row.arc_words:
+            word &= slot_word
+        tokens = np.array([row.tokens], dtype=np.int64)
+        assert word == compiled.inst_arcs.words(tokens)[0] & full, activity.name
+        self.checked += 1
+        return outcome
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_arc_words_equal_the_arc_table_after_every_completion(data):
+    # The same random consensus markings as the matrix-firing property;
+    # instantaneous cascades at start-up and gate writes along the run
+    # both move arc places, and the incrementally updated words must
+    # always be the ones a from-scratch arc table pass computes.
+    batch = []
+    for row in range(data.draw(st.integers(min_value=1, max_value=3))):
+        places = data.draw(
+            st.lists(
+                st.sampled_from(_CONSENSUS_PLACES),
+                min_size=1,
+                max_size=12,
+                unique=True,
+            ),
+            label=f"places[{row}]",
+        )
+        counts = {
+            place: data.draw(
+                st.integers(min_value=0, max_value=2),
+                label=f"tokens[{row}][{place}]",
+            )
+            for place in places
+        }
+        batch.append(Marking(counts))
+    seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1), label="seed")
+
+    executor = _WordCheckingExecutor.for_batch(
+        _CONSENSUS_MODEL,
+        seeds=[seed + row for row in range(len(batch))],
+        rewards_per_row=[[] for _ in batch],
+        initial_markings=batch,
+    )
+    outcomes = executor.run_batch(until=20.0)
+    assert executor.checked == sum(outcome.completions for outcome in outcomes)

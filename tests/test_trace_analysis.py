@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.experiments.artifacts import ARTIFACT_SCHEMA, json_safe, validate_instance
@@ -81,6 +83,13 @@ def test_renderers_and_artifact_round_trip(smoke_result):
     header, rows = trace_analysis_rows(smoke_result)
     assert header[0] == "replication"
     assert len(rows) == len(smoke_result.replications)
+
+
+def test_the_result_keeps_no_event_log(smoke_result):
+    # The experiment cache entry stores the result; the logs stay in the
+    # cached points, and the renderers read only each log's length.
+    assert b"_log_from_rows" not in pickle.dumps(smoke_result)
+    assert all(rep.events > 0 for rep in smoke_result.replications)
 
 
 def test_run_experiment_emits_a_schema_valid_artifact():
