@@ -105,12 +105,17 @@ class MeasurementConfig:
 
 @dataclass
 class MeasurementResult:
-    """Everything measured in one experiment."""
+    """Everything measured in one experiment.
+
+    :attr:`summary` is computed from :attr:`latencies_ms` each time it is
+    read, not stored: its Student-t interval loads ``scipy.special``, which
+    a run that never reads it (every experiment's testbed points) then
+    does not load, and a pickled result carries only the latencies.
+    """
 
     config: MeasurementConfig
     latencies_ms: List[float]
     undecided: int
-    summary: Optional[SampleSummary]
     recorder: LatencyRecorder
     fd_history: FailureDetectorHistory
     qos: Optional[QoSEstimate]
@@ -123,6 +128,11 @@ class MeasurementResult:
     messages_duplicated: int = 0
     fault_stats: Optional[FaultStats] = None
     event_log: Optional[EventLog] = None
+
+    @property
+    def summary(self) -> Optional[SampleSummary]:
+        """Summary of the latencies with a 90% interval (``None`` if none decided)."""
+        return summarize(self.latencies_ms) if self.latencies_ms else None
 
     @property
     def mean_latency_ms(self) -> float:
@@ -348,7 +358,6 @@ class MeasurementRunner:
             config=config,
             latencies_ms=latencies,
             undecided=undecided,
-            summary=summarize(latencies) if latencies else None,
             recorder=self.recorder,
             fd_history=self.fd_history,
             qos=qos,

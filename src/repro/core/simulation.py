@@ -71,13 +71,22 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Latency statistics of one SAN simulation experiment."""
+    """Latency statistics of one SAN simulation experiment.
+
+    :attr:`summary` is computed from :attr:`latencies_ms` each time it is
+    read, not stored, so a run that never reads it loads no scipy (see
+    :class:`~repro.sanmodels.consensus_model.SANLatencyResult`).
+    """
 
     config: SimulationConfig
     latencies_ms: List[float]
     undecided: int
-    summary: Optional[SampleSummary]
     san_result: SANLatencyResult
+
+    @property
+    def summary(self) -> Optional[SampleSummary]:
+        """Summary of the latencies with a 90% interval (``None`` if none decided)."""
+        return summarize(self.latencies_ms) if self.latencies_ms else None
 
     @property
     def mean_latency_ms(self) -> float:
@@ -135,11 +144,9 @@ class SimulationRunner:
         san_result = self.experiment().run(
             replications=self.config.replications, jobs=jobs
         )
-        latencies = san_result.latencies_ms
         return SimulationResult(
             config=self.config,
-            latencies_ms=latencies,
+            latencies_ms=san_result.latencies_ms,
             undecided=san_result.undecided,
-            summary=summarize(latencies) if latencies else None,
             san_result=san_result,
         )

@@ -259,11 +259,17 @@ class ResultCache:
     experiment's name and the settings digest.  Writes are atomic (write
     to a temporary file, then ``os.replace``) so that a killed run never
     leaves a truncated entry behind.
+
+    Entries live in :attr:`directory`, the subdirectory of ``root`` named
+    after the first 16 hex digits of the fingerprint, so each code
+    version's entries sit together and an outdated version's can be
+    removed with one ``rm -r``.  Nothing is removed automatically: another
+    checkout may share ``root``.
     """
 
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+    def __init__(self, root: str) -> None:
+        self.directory = os.path.join(root, code_fingerprint()[:16])
+        os.makedirs(self.directory, exist_ok=True)
 
     # ------------------------------------------------------------------
     @staticmethod

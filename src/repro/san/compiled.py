@@ -294,7 +294,6 @@ class CompiledSANModel:
         "inst_by_unknown",
         "global_timed",
         "global_inst",
-        "global_inst_indices",
         "global_inst_bits",
         "inst_bits_by_place",
         "inst_bits_by_unknown",
@@ -378,9 +377,6 @@ class CompiledSANModel:
         }
         self.global_timed: Tuple[CompiledActivity, ...] = tuple(global_timed)
         self.global_inst: Tuple[CompiledActivity, ...] = tuple(global_inst)
-        self.global_inst_indices: Set[int] = {
-            compiled.index for compiled in global_inst
-        }
 
         # Bitmask twins of the instantaneous dependency indexes, for the
         # batched executor's chain: bit ``i`` stands for

@@ -21,8 +21,11 @@ empirical CDF).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.san.composition import join
 from repro.san.marking import Marking
@@ -218,14 +221,32 @@ def build_consensus_model_from_distributions(
 
 @dataclass
 class SANLatencyResult:
-    """Latency statistics produced by a SAN experiment."""
+    """Latency statistics produced by a SAN experiment.
+
+    :attr:`mean_ms` is computed when the result is built, with the same
+    numpy expression :func:`~repro.stats.descriptive.confidence_interval`
+    uses, so it equals the interval's mean bit for bit.  :attr:`interval`
+    is computed from :attr:`latencies_ms` at :attr:`confidence` each time
+    it is read, not stored: its Student-t quantile loads ``scipy.special``,
+    which a run that reads only the mean (figure 9, table 1, faultsweep)
+    then does not load, and a pickled result carries no interval.
+    """
 
     latencies_ms: list[float]
     mean_ms: float
-    interval: ConfidenceInterval
+    confidence: float
     replications: int
     undecided: int
     solver_result: SolverResult = field(repr=False, default=None)
+
+    @property
+    def interval(self) -> ConfidenceInterval:
+        """Confidence interval of the mean latency (NaN with ``n=0`` if none decided)."""
+        if not self.latencies_ms:
+            return ConfidenceInterval(
+                mean=math.nan, half_width=math.nan, confidence=self.confidence, n=0
+            )
+        return confidence_interval(self.latencies_ms, self.confidence)
 
     def cdf(self) -> EmpiricalCDF:
         """Empirical CDF of the per-replication latencies."""
@@ -350,14 +371,15 @@ class ConsensusSANExperiment:
             )
         latencies = result.values("latency")
         undecided = result.n - len(latencies)
-        interval = confidence_interval(latencies, self.confidence) if latencies else (
-            ConfidenceInterval(mean=float("nan"), half_width=float("nan"),
-                               confidence=self.confidence, n=0)
+        mean = (
+            float(np.mean(np.asarray(list(latencies), dtype=float)))
+            if latencies
+            else math.nan
         )
         return SANLatencyResult(
             latencies_ms=latencies,
-            mean_ms=interval.mean,
-            interval=interval,
+            mean_ms=mean,
+            confidence=self.confidence,
             replications=result.n,
             undecided=undecided,
             solver_result=result,

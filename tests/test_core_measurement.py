@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.config import ClusterConfig
@@ -11,6 +13,7 @@ from repro.core.measurement import (
     measure_end_to_end_delays,
 )
 from repro.core.scenarios import Scenario
+from repro.stats.descriptive import summarize
 
 
 def _config(n=3, seed=1, scenario=None, executions=20, **kwargs):
@@ -43,6 +46,13 @@ def test_class1_measurement_produces_one_latency_per_execution():
     assert result.recorder.check_agreement()
     assert result.messages_delivered > 0
     assert result.cdf().n == 25
+
+
+def test_summary_is_computed_from_the_latencies_when_read():
+    result = MeasurementRunner(_config(executions=12)).run()
+    assert result.summary == summarize(result.latencies_ms)
+    assert "summary" not in vars(result)  # nothing cached, nothing pickled
+    assert dataclasses.replace(result, latencies_ms=[]).summary is None
 
 
 def test_class1_latencies_are_reproducible_for_a_fixed_seed():

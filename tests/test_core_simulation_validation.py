@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.calibration import calibrate_t_send, simulated_latency_cdfs_by_t_send
@@ -11,6 +13,7 @@ from repro.core.validation import compare_results, crossover_point, ordering_hol
 from repro.failure_detectors.history import FailureDetectorHistory
 from repro.failure_detectors.qos import estimate_qos
 from repro.sanmodels.parameters import SANParameters
+from repro.stats.descriptive import summarize
 
 
 def _fake_qos(recurrence=20.0, duration=2.0, n_processes=3, experiment=1000.0):
@@ -44,6 +47,15 @@ def test_simulation_runner_class1_produces_latencies():
     assert 0.05 < result.mean_latency_ms < 10.0
     assert result.summary is not None
     assert result.cdf().n == 30
+
+
+def test_simulation_summary_is_computed_from_the_latencies_when_read():
+    result = SimulationRunner(
+        SimulationConfig(n_processes=3, scenario=Scenario.no_failures(), replications=12, seed=2)
+    ).run()
+    assert result.summary == summarize(result.latencies_ms)
+    assert "summary" not in vars(result)
+    assert dataclasses.replace(result, latencies_ms=[]).summary is None
 
 
 def test_simulation_runner_class2_coordinator_crash_is_slower():

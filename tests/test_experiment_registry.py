@@ -266,7 +266,8 @@ def _stripped(run) -> dict:
 
 def _experiment_entry(cache_dir, name: str) -> str:
     return os.path.join(
-        cache_dir, ResultCache.experiment_key(name, tiny_settings()) + ".pkl"
+        ResultCache(str(cache_dir)).directory,
+        ResultCache.experiment_key(name, tiny_settings()) + ".pkl",
     )
 
 
@@ -308,14 +309,15 @@ def test_a_deleted_point_entry_is_recomputed_alone(tiny_scale, tmp_path):
     options = ExperimentOptions(scale=tiny_scale, cache_dir=str(tmp_path))
     spec = registry.get("figure7b")
     cold = run_experiment(spec, options=options)
-    hit, (_result, touched) = ResultCache(str(tmp_path)).get(
+    cache = ResultCache(str(tmp_path))
+    hit, (_result, touched) = cache.get(
         ResultCache.experiment_key("figure7b", tiny_settings())
     )
     assert hit and [(label, indices) for label, indices, _key in touched] == [
         (p.label, p.indices) for p in cold.manifest.points
     ]
     (deleted,) = [key for label, _i, key in touched if label == "figure7b measure n=5"]
-    os.unlink(os.path.join(tmp_path, deleted + ".pkl"))
+    os.unlink(os.path.join(cache.directory, deleted + ".pkl"))
     rerun = run_experiment(spec, options=options)
     assert [(p.label, p.cached) for p in rerun.manifest.points] == [
         (p.label, p.label != "figure7b measure n=5") for p in cold.manifest.points
@@ -359,5 +361,5 @@ def test_a_failed_run_writes_no_experiment_entry(tmp_path):
     with pytest.raises(RuntimeError, match="aggregation failed"):
         run_experiment(failing, options=options, settings=tiny_settings())
     # The finished point was stored; the experiment was not.
-    assert len(os.listdir(tmp_path)) == 1
+    assert len(os.listdir(ResultCache(str(tmp_path)).directory)) == 1
     assert not os.path.exists(_experiment_entry(tmp_path, "fails-late"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -173,12 +174,13 @@ def test_figure7a_is_bit_for_bit_identical_across_worker_counts(settings):
 # ----------------------------------------------------------------------
 def test_cache_serves_repeat_executions_without_recomputing(settings, tmp_path):
     plan = figure8_plan(settings)
+    directory = pathlib.Path(ResultCache(str(tmp_path)).directory)
     first = execute_plan(plan, jobs=1, cache_dir=str(tmp_path))
-    cache_files = sorted(tmp_path.glob("*.pkl"))
+    cache_files = sorted(directory.glob("*.pkl"))
     assert len(cache_files) == len(plan.points)
     before = {path: path.stat().st_mtime_ns for path in cache_files}
     second = execute_plan(plan, jobs=1, cache_dir=str(tmp_path))
-    after = {path: path.stat().st_mtime_ns for path in sorted(tmp_path.glob("*.pkl"))}
+    after = {path: path.stat().st_mtime_ns for path in sorted(directory.glob("*.pkl"))}
     assert before == after  # pure cache hits: nothing was rewritten
 
     def flatten(points):
@@ -249,8 +251,29 @@ def test_corrupt_cache_entries_count_as_misses(settings, tmp_path):
     key = ResultCache.key(plan.points[0], settings)
     cache.put(key, ("a", 123))
     assert cache.get(key) == (True, ("a", 123))
-    (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
+    (pathlib.Path(cache.directory) / f"{key}.pkl").write_bytes(b"not a pickle")
     assert cache.get(key) == (False, None)
+
+
+def test_a_second_code_version_writes_beside_the_first_and_leaves_it_untouched(
+    settings, tmp_path, monkeypatch
+):
+    plan = _plan(settings, tags=("a", "b"))
+    first = pathlib.Path(ResultCache(str(tmp_path)).directory)
+    execute_plan(plan, jobs=1, cache_dir=str(tmp_path))
+    entries = {path: path.stat().st_mtime_ns for path in first.glob("*.pkl")}
+    assert len(entries) == len(plan.points)
+
+    monkeypatch.setattr("repro.experiments.runner.code_fingerprint", lambda: "f" * 64)
+    cache = ResultCache(str(tmp_path))
+    second = pathlib.Path(cache.directory)
+    assert second == tmp_path / ("f" * 16)
+    seen = []
+    list(iter_plan(plan, jobs=1, cache=cache, timing_hook=lambda p, s, c: seen.append(c)))
+    assert seen == [False, False]  # the new version's keys miss the old entries
+    assert len(list(second.glob("*.pkl"))) == len(plan.points)
+    assert sorted(os.listdir(tmp_path)) == sorted([first.name, second.name])
+    assert {path: path.stat().st_mtime_ns for path in first.glob("*.pkl")} == entries
 
 
 def test_cached_points_are_not_resubmitted_to_the_pool(settings, tmp_path):
@@ -325,7 +348,7 @@ def test_grouped_execution_keeps_per_point_cache_and_timing(settings, tmp_path):
         ("echo e", False),
     ]
     # Every point (cached or grouped) landed in the cache exactly once.
-    assert len(sorted(tmp_path.glob("*.pkl"))) == len(plan.points)
+    assert len(sorted(pathlib.Path(cache.directory).glob("*.pkl"))) == len(plan.points)
 
 
 def test_timing_hook_marks_cache_hits(settings, tmp_path):

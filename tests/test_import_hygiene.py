@@ -3,14 +3,18 @@
 Every ``python -m repro`` run is a fresh process, so import time is paid
 once per figure.  ``scipy.stats`` alone costs about a second to import,
 and ``scipy.special`` and ``scipy.sparse`` cost a few tenths each; the
-package therefore imports scipy only inside the functions that need it
-(confidence intervals and the analytic solver), and never ``scipy.stats``.
-A sweep that forks workers imports scipy first, so the workers inherit it
-instead of each importing it again.  A warm ``all`` is served from whole
-experiment entries, so it loads neither scipy nor any point entry.  Each check runs in a fresh
-interpreter because the test process itself has long since loaded scipy.
+package therefore imports scipy only inside the functions that need it,
+and never ``scipy.stats``.  scipy loads only for a confidence interval
+someone reads (testbed and SAN-simulation results compute theirs when
+read, not when built) and for the analytic solver, so ``means`` and
+``solvercompare`` are the only experiments that load it; a testbed or
+SAN-simulation run that reads only means loads none.  A sweep that forks
+workers imports scipy first, so the workers inherit it instead of each
+importing it again.  A warm ``all`` is served from whole experiment
+entries, so it loads neither scipy nor any point entry.  Each check runs
+in a fresh interpreter because the test process itself has long since
+loaded scipy.
 """
-
 from __future__ import annotations
 
 import json
@@ -19,6 +23,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from typing import Sequence
 
 import pytest
 
@@ -27,11 +32,11 @@ SCIPY_MODULES = ("scipy", "scipy.stats", "scipy.sparse", "scipy.special")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _loaded_after(script: str, *args: str) -> dict[str, bool]:
-    """Run ``script`` in a fresh interpreter; report which scipy modules it loaded.
+def _loaded_at_each_stage(stages: Sequence[str], *args: str) -> list[dict[str, bool]]:
+    """Run ``stages`` in order in one fresh interpreter; report the scipy modules after each.
 
-    ``args`` become the script's ``sys.argv[1:]``.  The script may print
-    lines of its own; the report is the last line.
+    ``args`` become the script's ``sys.argv[1:]``.  A stage may print lines
+    of its own; the reports are the last ``len(stages)`` lines.
     """
     report = textwrap.dedent(
         f"""
@@ -43,15 +48,26 @@ def _loaded_after(script: str, *args: str) -> dict[str, bool]:
     environment["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(REPO_ROOT, "src"), environment.get("PYTHONPATH", "")])
     )
+    script = "".join(textwrap.dedent(stage) + report for stage in stages)
     completed = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script) + report, *args],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
         env=environment,
     )
     assert completed.returncode == 0, completed.stderr
-    return json.loads(completed.stdout.strip().splitlines()[-1])
+    lines = completed.stdout.strip().splitlines()
+    return [json.loads(line) for line in lines[len(lines) - len(stages):]]
+
+
+def _loaded_after(script: str, *args: str) -> dict[str, bool]:
+    """Run ``script`` in a fresh interpreter; report which scipy modules it loaded."""
+    return _loaded_at_each_stage([script], *args)[-1]
+
+
+#: What reading a Student-t interval loads: ``scipy.special`` and no other module.
+INTERVAL_ONLY = {"scipy": True, "scipy.stats": False, "scipy.sparse": False, "scipy.special": True}
 
 
 def test_importing_repro_and_discovering_experiments_loads_no_scipy():
@@ -150,3 +166,90 @@ def test_a_warm_run_of_every_experiment_loads_no_scipy_and_no_point_entry(tmp_pa
     cold = _loaded_after(run_all, cache_dir, "cold")
     assert cold["scipy.special"]  # the cold run does compute confidence intervals
     assert _loaded_after(run_all, cache_dir, "warm") == dict.fromkeys(SCIPY_MODULES, False)
+
+
+@pytest.mark.parametrize(
+    "scenario, options",
+    [
+        ("Scenario.no_failures()", "executions=20"),
+        ("Scenario.coordinator_crash()", "executions=15"),
+        (
+            "Scenario.wrong_suspicions(timeout_ms=5.0)",
+            "executions=15, sequential=True, max_instance_time_ms=300.0",
+        ),
+    ],
+    ids=["class1", "class2", "class3"],
+)
+def test_a_testbed_run_loads_no_scipy_until_its_summary_is_read(scenario, options):
+    run, read = _loaded_at_each_stage(
+        [
+            f"""
+            from repro.cluster.config import ClusterConfig
+            from repro.core.measurement import MeasurementConfig, MeasurementRunner
+            from repro.core.scenarios import Scenario
+
+            config = MeasurementConfig(
+                cluster=ClusterConfig(n_processes=3, seed=1), scenario={scenario}, {options}
+            )
+            result = MeasurementRunner(config).run()
+            assert len(result.latencies_ms) >= 2
+            """,
+            """
+            assert result.summary.ci.n == len(result.latencies_ms)
+            """,
+        ]
+    )
+    assert run == dict.fromkeys(SCIPY_MODULES, False)
+    assert read == INTERVAL_ONLY
+
+
+def test_a_simulation_run_loads_no_scipy_until_its_summary_is_read():
+    run, read = _loaded_at_each_stage(
+        [
+            """
+            from repro.core.scenarios import Scenario
+            from repro.core.simulation import SimulationConfig, SimulationRunner
+
+            result = SimulationRunner(
+                SimulationConfig(
+                    n_processes=3, scenario=Scenario.no_failures(), replications=10, seed=1
+                )
+            ).run()
+            assert len(result.latencies_ms) == 10
+            """,
+            """
+            assert result.summary.ci.n == 10
+            """,
+        ]
+    )
+    assert run == dict.fromkeys(SCIPY_MODULES, False)
+    assert read == INTERVAL_ONLY
+
+
+def test_a_san_experiment_loads_no_scipy_until_its_interval_is_read():
+    run, read = _loaded_at_each_stage(
+        [
+            """
+            from repro.sanmodels.consensus_model import ConsensusSANExperiment
+
+            result = ConsensusSANExperiment(3).run(replications=10)
+            assert result.mean_ms > 0
+            """,
+            """
+            assert result.interval.n == 10
+            """,
+        ]
+    )
+    assert run == dict.fromkeys(SCIPY_MODULES, False)
+    assert read == INTERVAL_ONLY
+
+
+def test_a_cold_figure8_run_without_a_cache_loads_no_scipy():
+    loaded = _loaded_after(
+        """
+        from repro import cli
+
+        assert cli.main(["figure8", "--scale", "smoke"]) == 0
+        """
+    )
+    assert loaded == dict.fromkeys(SCIPY_MODULES, False)

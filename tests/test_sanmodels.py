@@ -20,6 +20,7 @@ from repro.sanmodels.consensus_model import (
 from repro.sanmodels.fd_model import FDModelSettings, add_failure_detector_pair
 from repro.sanmodels.network_model import add_broadcast_path, add_unicast_path
 from repro.sanmodels.parameters import BimodalFit, SANParameters
+from repro.stats.descriptive import confidence_interval
 from repro.stats.distributions import Constant
 
 
@@ -255,6 +256,23 @@ def test_san_experiment_reports_statistics_and_reproducibility():
     assert result.interval.lower <= result.mean_ms <= result.interval.upper
     assert not math.isnan(result.mean_ms)
     assert result.cdf().n == 30
+
+
+def test_san_experiment_interval_is_computed_at_its_confidence_when_read():
+    result = ConsensusSANExperiment(n_processes=3, seed=5, confidence=0.95).run(replications=20)
+    assert result.confidence == 0.95
+    assert result.interval == confidence_interval(result.latencies_ms, 0.95)
+    assert float.hex(result.mean_ms) == float.hex(result.interval.mean)
+    assert "interval" not in vars(result)  # nothing cached, nothing pickled
+
+
+def test_san_experiment_without_decisions_has_a_nan_mean_and_interval():
+    result = ConsensusSANExperiment(n_processes=3, seed=5, max_time_ms=1e-6).run(replications=3)
+    assert result.latencies_ms == [] and result.undecided == 3
+    assert math.isnan(result.mean_ms)
+    interval = result.interval
+    assert (interval.confidence, interval.n) == (0.90, 0)
+    assert math.isnan(interval.mean) and math.isnan(interval.half_width)
 
 
 def test_san_experiment_latency_grows_with_n():
