@@ -25,17 +25,36 @@ Quick start
 True
 """
 
-from repro.core.calibration import CalibrationResult, calibrate_t_send
-from repro.core.measurement import (
-    MeasurementConfig,
-    MeasurementResult,
-    MeasurementRunner,
-    measure_end_to_end_delays,
-)
-from repro.core.scenarios import RunClass, Scenario
-from repro.core.simulation import SimulationConfig, SimulationResult, SimulationRunner
-from repro.core.validation import ValidationReport, compare_results
-from repro.sanmodels.parameters import SANParameters
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.calibration import CalibrationResult, calibrate_t_send
+    from repro.core.measurement import (
+        MeasurementConfig,
+        MeasurementResult,
+        MeasurementRunner,
+        measure_end_to_end_delays,
+    )
+    from repro.core.scenarios import RunClass, Scenario
+    from repro.core.simulation import SimulationConfig, SimulationResult, SimulationRunner
+    from repro.core.validation import ValidationReport, compare_results
+    from repro.sanmodels.parameters import SANParameters
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.calibration": ("CalibrationResult", "calibrate_t_send"),
+    "repro.core.measurement": (
+        "MeasurementConfig",
+        "MeasurementResult",
+        "MeasurementRunner",
+        "measure_end_to_end_delays",
+    ),
+    "repro.core.scenarios": ("RunClass", "Scenario"),
+    "repro.core.simulation": ("SimulationConfig", "SimulationResult", "SimulationRunner"),
+    "repro.core.validation": ("ValidationReport", "compare_results"),
+    "repro.sanmodels.parameters": ("SANParameters",),
+})
 
 __version__ = "1.0.0"
 

@@ -30,23 +30,48 @@ inside the scope of the strictest rule (``DET001``) and must report
 zero findings on its own source (covered by a self-hosting test).
 """
 
-from repro.analysis.engine import (
-    AnalysisResult,
-    Suppression,
-    analyze_paths,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.rules import (
-    Finding,
-    Rule,
-    Scope,
-    Severity,
-    all_rules,
-    get_rule,
-    register_rule,
-)
-from repro.analysis.report import render_github, render_json, render_text
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.engine import (
+        AnalysisResult,
+        Suppression,
+        analyze_paths,
+        load_baseline,
+        write_baseline,
+    )
+    from repro.analysis.rules import (
+        Finding,
+        Rule,
+        Scope,
+        Severity,
+        all_rules,
+        get_rule,
+        register_rule,
+    )
+    from repro.analysis.report import render_github, render_json, render_text
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.engine": (
+        "AnalysisResult",
+        "Suppression",
+        "analyze_paths",
+        "load_baseline",
+        "write_baseline",
+    ),
+    "repro.analysis.rules": (
+        "Finding",
+        "Rule",
+        "Scope",
+        "Severity",
+        "all_rules",
+        "get_rule",
+        "register_rule",
+    ),
+    "repro.analysis.report": ("render_github", "render_json", "render_text"),
+})
 
 __all__ = [
     "AnalysisResult",

@@ -23,15 +23,32 @@ behaviour of that environment:
   latencies (Figures 7, 9; Table 1).
 """
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.config import ClusterConfig, NetworkParameters, SchedulerParameters
-from repro.cluster.clock import HostClock
-from repro.cluster.ethernet import EthernetHub
-from repro.cluster.host import Host
-from repro.cluster.message import BROADCAST, Message
-from repro.cluster.neko import NekoProcess, ProtocolLayer
-from repro.cluster.tracing import MessageTrace, TraceRecord
-from repro.cluster.transport import Transport
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.config import ClusterConfig, NetworkParameters, SchedulerParameters
+    from repro.cluster.clock import HostClock
+    from repro.cluster.ethernet import EthernetHub
+    from repro.cluster.host import Host
+    from repro.cluster.message import BROADCAST, Message
+    from repro.cluster.neko import NekoProcess, ProtocolLayer
+    from repro.cluster.tracing import MessageTrace, TraceRecord
+    from repro.cluster.transport import Transport
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.cluster": ("Cluster",),
+    "repro.cluster.config": ("ClusterConfig", "NetworkParameters", "SchedulerParameters"),
+    "repro.cluster.clock": ("HostClock",),
+    "repro.cluster.ethernet": ("EthernetHub",),
+    "repro.cluster.host": ("Host",),
+    "repro.cluster.message": ("BROADCAST", "Message"),
+    "repro.cluster.neko": ("NekoProcess", "ProtocolLayer"),
+    "repro.cluster.tracing": ("MessageTrace", "TraceRecord"),
+    "repro.cluster.transport": ("Transport",),
+})
 
 __all__ = [
     "BROADCAST",

@@ -64,6 +64,16 @@ class ProtocolLayer(SimProcess):
         """Called when the process shuts down; cancels this layer's timers."""
         self.cancel_all_timers()
 
+    def close(self) -> None:
+        """Cancel the timers and unlink from the process and neighbours.
+
+        Called by :meth:`~repro.cluster.cluster.Cluster.close` once the run
+        is over.  Layers that keep callbacks to other objects drop them
+        here too.
+        """
+        self.cancel_all_timers()
+        self.process = self._upper = self._lower = None
+
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

@@ -130,6 +130,10 @@ class Transport:
         """Register the upcall invoked when a message reaches ``process_id``."""
         self._receivers[process_id] = callback
 
+    def close(self) -> None:
+        """Drop the registered upcalls once the run is over; counters stay."""
+        self._receivers.clear()
+
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------

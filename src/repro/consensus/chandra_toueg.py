@@ -178,6 +178,12 @@ class ChandraTouegConsensus(ProtocolLayer):
         if self._fd is not None:
             self._fd.add_listener(self._on_suspicion_change)
 
+    def close(self) -> None:
+        """Also drop the failure detector and the decision callbacks."""
+        super().close()
+        self._fd = None
+        self._decision_callbacks.clear()
+
     def _find_failure_detector(self) -> Optional[FailureDetectorLayer]:
         if self.process is None:
             return None

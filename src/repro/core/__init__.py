@@ -18,21 +18,40 @@ testbed simulator (:mod:`repro.cluster`), the consensus implementation
    (:mod:`repro.core.validation`, §5.2-§5.4).
 """
 
-from repro.core.calibration import (
-    CalibrationResult,
-    calibrate_t_send,
-    fit_bimodal_uniform,
-)
-from repro.core.latency import InstanceLatency, LatencyRecorder
-from repro.core.measurement import (
-    MeasurementConfig,
-    MeasurementResult,
-    MeasurementRunner,
-    measure_end_to_end_delays,
-)
-from repro.core.scenarios import RunClass, Scenario
-from repro.core.simulation import SimulationConfig, SimulationResult, SimulationRunner
-from repro.core.validation import ValidationReport, compare_results
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.calibration import (
+        CalibrationResult,
+        calibrate_t_send,
+        fit_bimodal_uniform,
+    )
+    from repro.core.latency import InstanceLatency, LatencyRecorder
+    from repro.core.measurement import (
+        MeasurementConfig,
+        MeasurementResult,
+        MeasurementRunner,
+        measure_end_to_end_delays,
+    )
+    from repro.core.scenarios import RunClass, Scenario
+    from repro.core.simulation import SimulationConfig, SimulationResult, SimulationRunner
+    from repro.core.validation import ValidationReport, compare_results
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.calibration": ("CalibrationResult", "calibrate_t_send", "fit_bimodal_uniform"),
+    "repro.core.latency": ("InstanceLatency", "LatencyRecorder"),
+    "repro.core.measurement": (
+        "MeasurementConfig",
+        "MeasurementResult",
+        "MeasurementRunner",
+        "measure_end_to_end_delays",
+    ),
+    "repro.core.scenarios": ("RunClass", "Scenario"),
+    "repro.core.simulation": ("SimulationConfig", "SimulationResult", "SimulationRunner"),
+    "repro.core.validation": ("ValidationReport", "compare_results"),
+})
 
 __all__ = [
     "CalibrationResult",

@@ -21,11 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.core.scenarios import Scenario
-from repro.sanmodels.consensus_model import ConsensusSANExperiment
 from repro.sanmodels.parameters import SANParameters
 from repro.stats.cdf import EmpiricalCDF
-from repro.stats.distributions import BimodalUniform
 from repro.stats.fitting import fit_bimodal_uniform
 
 __all__ = [
@@ -60,11 +57,6 @@ class CalibrationResult:
             if abs(candidate.t_send_ms - t_send_ms) < 1e-12:
                 return candidate
         return None
-
-
-def fit_end_to_end_distribution(delays: Sequence[float]) -> BimodalUniform:
-    """Fit the bi-modal uniform end-to-end delay distribution (§5.1)."""
-    return fit_bimodal_uniform(delays)
 
 
 def score_t_send_candidates(
@@ -135,6 +127,8 @@ def calibrate_t_send(
     seed:
         Master seed.
     """
+    from repro.sanmodels.consensus_model import ConsensusSANExperiment
+
     simulated = []
     for t_send in candidate_t_send_ms:
         experiment = ConsensusSANExperiment(
@@ -154,6 +148,8 @@ def simulated_latency_cdfs_by_t_send(
     seed: int = 0,
 ) -> Dict[float, EmpiricalCDF]:
     """Simulated latency CDFs for each candidate ``t_send`` (Figure 7b series)."""
+    from repro.sanmodels.consensus_model import ConsensusSANExperiment
+
     cdfs: Dict[float, EmpiricalCDF] = {}
     for t_send in candidate_t_send_ms:
         experiment = ConsensusSANExperiment(
@@ -166,7 +162,3 @@ def simulated_latency_cdfs_by_t_send(
             cdfs[float(t_send)] = EmpiricalCDF(result.latencies_ms)
     return cdfs
 
-
-def default_scenario() -> Scenario:
-    """The scenario used for calibration: class 1, no failures."""
-    return Scenario.no_failures()

@@ -11,7 +11,7 @@ keeping both the local-clock and the global (simulator) timestamps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.stats.cdf import EmpiricalCDF

@@ -219,7 +219,9 @@ class MeasurementRunner:
             )
             self.cluster.run(until=nominal_end)
             self._run_until_all_decided(nominal_end, config.extra_time_ms)
-        return self._collect_results()
+        result = self._collect_results()
+        self.cluster.close()
+        return result
 
     # ------------------------------------------------------------------
     # Fixed-schedule mode (class 1 / class 2, the paper's 10 ms separation)
@@ -462,4 +464,5 @@ def measure_end_to_end_delays(
     result.broadcast_delays = cluster.trace.broadcast_delays_averaged(
         msg_type="broadcast-probe"
     )
+    cluster.close()
     return result

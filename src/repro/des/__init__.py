@@ -20,11 +20,24 @@ the SAN executor (:mod:`repro.san`) and the cluster testbed simulator
 events, and callbacks keep the kernel easy to test and reason about.
 """
 
-from repro.des.event import Event, EventState
-from repro.des.process import SimProcess
-from repro.des.random import RandomStreams
-from repro.des.resource import Request, Resource, ResourceStats
-from repro.des.simulator import Simulator, SimulationError
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.des.event import Event, EventState
+    from repro.des.process import SimProcess
+    from repro.des.random import RandomStreams
+    from repro.des.resource import Request, Resource, ResourceStats
+    from repro.des.simulator import Simulator, SimulationError
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.des.event": ("Event", "EventState"),
+    "repro.des.process": ("SimProcess",),
+    "repro.des.random": ("RandomStreams",),
+    "repro.des.resource": ("Request", "Resource", "ResourceStats"),
+    "repro.des.simulator": ("Simulator", "SimulationError"),
+})
 
 __all__ = [
     "Event",

@@ -9,7 +9,7 @@ makes traces and tests uniform.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.des.event import Event
 from repro.des.simulator import Simulator

@@ -211,6 +211,13 @@ class Resource:
         if self._queue:
             self._dispatch()
 
+    def close(self) -> None:
+        """Drop the waiting services of a finished run; they never start.
+
+        Their callbacks lead back to the model that owns this resource.
+        """
+        self._queue.clear()
+
     def __repr__(self) -> str:
         return (
             f"Resource(name={self.name!r}, capacity={self.capacity}, "

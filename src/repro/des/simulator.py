@@ -84,13 +84,14 @@ class Simulator:
         self._seq = 0
         self._running = False
         self._stopped = False
+        self._closed = False
         self._events_processed = 0
         self._cancelled = 0
         self.time_unit = time_unit
         self.random = RandomStreams(seed)
         self._trace_hooks: list[Callable[[Event], None]] = []
         # Bound once here rather than once per scheduled event.
-        self._on_cancel = self._note_cancelled
+        self._on_cancel: Optional[Callable[[Event], None]] = self._note_cancelled
 
     # ------------------------------------------------------------------
     # Counters
@@ -166,6 +167,8 @@ class Simulator:
             ``True`` if an event was executed, ``False`` if the queue was
             empty.
         """
+        if self._closed:
+            raise SimulationError("simulator is closed")
         self._discard_cancelled()
         if not self._queue:
             return False
@@ -196,6 +199,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if self._closed:
+            raise SimulationError("simulator is closed")
         self._running = True
         self._stopped = False
         executed = 0
@@ -266,6 +271,27 @@ class Simulator:
         self._events_processed = 0
         self._cancelled = 0
         self._trace_hooks.clear()
+
+    def close(self) -> None:
+        """Discard all pending events and the trace hooks of a finished run.
+
+        Unlike :meth:`reset`, the clock and the counters keep their values,
+        and a closed simulator does not run again.  A pending entry holds a
+        callback into the model, which holds this simulator, so without
+        closing a finished run's calendar keeps the whole model alive until
+        the next full garbage collection.  The discarded handles are marked
+        cancelled and count as cancelled.
+        """
+        for entry in self._queue:
+            handle = entry[5]
+            if handle is not None:
+                handle.state = EventState.CANCELLED
+        self._queue.clear()
+        self._cancelled = self._seq - self._events_processed
+        self._trace_hooks.clear()
+        # The cached bound method is the simulator's one reference to itself.
+        self._on_cancel = None
+        self._closed = True
 
     # ------------------------------------------------------------------
     # Internals

@@ -37,45 +37,80 @@ subcommands and how the structured artifact layer
 manifests for each experiment.
 """
 
-from repro.experiments.artifacts import RunManifest, validate_artifact
-from repro.experiments.fault_sweep import FaultSweepResult, run_fault_sweep
-from repro.experiments.figure6 import Figure6Result, run_figure6
-from repro.experiments.figure7 import (
-    Figure7aResult,
-    Figure7bResult,
-    LatencyMeansResult,
-    run_figure7a,
-    run_figure7b,
-    run_latency_means,
-)
-from repro.experiments.figure8 import Figure8Result, run_figure8
-from repro.experiments.figure9 import Figure9Result, run_figure9
-from repro.experiments.registry import (
-    ExperimentContext,
-    ExperimentOptions,
-    ExperimentRun,
-    ExperimentSpec,
-    run_experiment,
-)
-from repro.experiments.registry import (
-    discover as discover_experiments,
-)
-from repro.experiments.registry import (
-    get as get_experiment,
-)
-from repro.experiments.registry import (
-    names as experiment_names,
-)
-from repro.experiments.runner import (
-    ReplicationPlan,
-    ResultCache,
-    SweepPoint,
-    execute_plan,
-    iter_plan,
-)
-from repro.experiments.settings import ExperimentSettings
-from repro.experiments.solver_compare import SolverCompareResult, run_solver_compare
-from repro.experiments.table1 import Table1Result, run_table1
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.artifacts import RunManifest, validate_artifact
+    from repro.experiments.fault_sweep import FaultSweepResult, run_fault_sweep
+    from repro.experiments.figure6 import Figure6Result, run_figure6
+    from repro.experiments.figure7 import (
+        Figure7aResult,
+        Figure7bResult,
+        LatencyMeansResult,
+        run_figure7a,
+        run_figure7b,
+        run_latency_means,
+    )
+    from repro.experiments.figure8 import Figure8Result, run_figure8
+    from repro.experiments.figure9 import Figure9Result, run_figure9
+    from repro.experiments.registry import (
+        ExperimentContext,
+        ExperimentOptions,
+        ExperimentRun,
+        ExperimentSpec,
+        run_experiment,
+    )
+    from repro.experiments.registry import discover as discover_experiments
+    from repro.experiments.registry import get as get_experiment
+    from repro.experiments.registry import names as experiment_names
+    from repro.experiments.runner import (
+        ReplicationPlan,
+        ResultCache,
+        SweepPoint,
+        execute_plan,
+        iter_plan,
+    )
+    from repro.experiments.settings import ExperimentSettings
+    from repro.experiments.solver_compare import SolverCompareResult, run_solver_compare
+    from repro.experiments.table1 import Table1Result, run_table1
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.artifacts": ("RunManifest", "validate_artifact"),
+    "repro.experiments.fault_sweep": ("FaultSweepResult", "run_fault_sweep"),
+    "repro.experiments.figure6": ("Figure6Result", "run_figure6"),
+    "repro.experiments.figure7": (
+        "Figure7aResult",
+        "Figure7bResult",
+        "LatencyMeansResult",
+        "run_figure7a",
+        "run_figure7b",
+        "run_latency_means",
+    ),
+    "repro.experiments.figure8": ("Figure8Result", "run_figure8"),
+    "repro.experiments.figure9": ("Figure9Result", "run_figure9"),
+    "repro.experiments.registry": (
+        "ExperimentContext",
+        "ExperimentOptions",
+        "ExperimentRun",
+        "ExperimentSpec",
+        "run_experiment",
+        "discover as discover_experiments",
+        "get as get_experiment",
+        "names as experiment_names",
+    ),
+    "repro.experiments.runner": (
+        "ReplicationPlan",
+        "ResultCache",
+        "SweepPoint",
+        "execute_plan",
+        "iter_plan",
+    ),
+    "repro.experiments.settings": ("ExperimentSettings",),
+    "repro.experiments.solver_compare": ("SolverCompareResult", "run_solver_compare"),
+    "repro.experiments.table1": ("Table1Result", "run_table1"),
+})
 
 __all__ = [
     "ExperimentContext",

@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.measurement import MeasurementConfig, MeasurementRunner
 from repro.core.scenarios import Scenario
-from repro.core.simulation import SimulationConfig, SimulationRunner
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
@@ -151,6 +149,8 @@ def _fault_sweep_point(
     point_seed: int,
 ) -> FaultSweepPoint:
     """One sweep point (module-level so the process pool can pickle it)."""
+    from repro.core.measurement import MeasurementConfig, MeasurementRunner
+
     executions = settings.class3_executions
     separation_ms = 10.0
     horizon_ms = 1.0 + executions * separation_ms
@@ -181,6 +181,8 @@ def _fault_sweep_point(
         ),
     )
     if simulate:
+        from repro.core.simulation import SimulationConfig, SimulationRunner
+
         simulation = SimulationRunner(
             SimulationConfig(
                 n_processes=n_processes,

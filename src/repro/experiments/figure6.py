@@ -11,14 +11,16 @@ cluster and reports both the CDFs and the fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.measurement import EndToEndDelayResult, measure_end_to_end_delays
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
 from repro.sanmodels.parameters import BimodalFit, SANParameters
 from repro.stats.cdf import EmpiricalCDF
+
+if TYPE_CHECKING:
+    from repro.core.measurement import EndToEndDelayResult
 
 #: Quantiles reported in the textual rendering and the artifacts.
 REPORT_PROBABILITIES: Tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
@@ -74,6 +76,8 @@ def _figure6_point(
     settings: ExperimentSettings, n_processes: int, point_seed: int
 ) -> EndToEndDelayResult:
     """One Figure 6 point: the delay micro-benchmark on an n-process cluster."""
+    from repro.core.measurement import measure_end_to_end_delays
+
     config = settings.cluster_for(n_processes, point_seed)
     return measure_end_to_end_delays(config, probes=settings.delay_probes)
 

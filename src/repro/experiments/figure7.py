@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.calibration import CalibrationResult, score_t_send_candidates
-from repro.core.measurement import MeasurementConfig, MeasurementRunner
 from repro.core.scenarios import Scenario
-from repro.core.simulation import SimulationConfig, SimulationRunner
 from repro.experiments.figure6 import run_figure6_in
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
@@ -64,6 +62,8 @@ def measure_latencies(
     max_instance_time_ms: Optional[float] = None,
 ) -> List[float]:
     """Measure consensus latencies for one experiment point (shared helper)."""
+    from repro.core.measurement import MeasurementConfig, MeasurementRunner
+
     config = MeasurementConfig(
         cluster=settings.cluster_for(n_processes, point_seed),
         scenario=scenario,
@@ -379,6 +379,8 @@ def _latency_means_sim_point(
     point_seed: int,
 ) -> List[float]:
     """One §5.2 simulation point: SAN latencies for one cluster size."""
+    from repro.core.simulation import SimulationConfig, SimulationRunner
+
     simulation = SimulationRunner(
         SimulationConfig(
             n_processes=n_processes,

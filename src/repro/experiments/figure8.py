@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.measurement import MeasurementConfig, MeasurementRunner
 from repro.core.scenarios import Scenario
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
@@ -81,6 +80,8 @@ def measure_class3_point(
     per-execution cap, as the paper's footnote 2 prescribes for bad failure
     detection.
     """
+    from repro.core.measurement import MeasurementConfig, MeasurementRunner
+
     config = MeasurementConfig(
         cluster=settings.cluster_for(n_processes, point_seed),
         scenario=Scenario.wrong_suspicions(timeout_ms=timeout_ms),

@@ -16,16 +16,17 @@ assumes the failure-detector modules to be mutually independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.scenarios import Scenario
-from repro.core.simulation import SimulationConfig, SimulationRunner
 from repro.experiments.figure8 import Figure8Point, Figure8Result, measure_class3_point
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings, scaled_timeouts
-from repro.sanmodels.fd_model import TransitionKind
 from repro.sanmodels.parameters import SANParameters
+
+if TYPE_CHECKING:
+    from repro.sanmodels.fd_model import TransitionKind
 
 #: The two FD sojourn-time distributions compared in Figure 9(b).
 FD_KINDS: Tuple[TransitionKind, ...] = ("deterministic", "exponential")
@@ -103,6 +104,8 @@ def _figure9_point(
         undecided=measurement.undecided,
     )
     if simulate and measurement.qos is not None:
+        from repro.core.simulation import SimulationConfig, SimulationRunner
+
         for kind, seed in sim_seeds:
             simulation = SimulationRunner(
                 SimulationConfig(

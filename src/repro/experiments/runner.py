@@ -41,14 +41,15 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import os
 import pickle
 import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -61,6 +62,9 @@ from typing import (
     Tuple,
     runtime_checkable,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "SeedSettings",
@@ -381,6 +385,12 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+#: The simulation stacks, which experiment modules import inside their
+#: point functions.  A sweep that forks workers imports them first, so
+#: every worker inherits them instead of importing them again inside its
+#: first point (each plan forks fresh workers).
+FORK_PRELOAD = ("repro.core.measurement", "repro.core.simulation")
+
 #: Per-point timing callback: ``hook(point, seconds, cached)``.  ``seconds``
 #: is the point function's own wall-clock (measured inside the worker for
 #: pooled execution, so it excludes queueing); cache hits report 0.0 with
@@ -550,10 +560,14 @@ def iter_plan(
     ]
     owned = pool is None
     if owned:
-        # scipy loads on first use; importing it before the workers fork
-        # lets them inherit it instead of each importing it again.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # scipy and the simulation stacks load on first use; importing
+        # them before the workers fork lets every worker inherit them.
         from repro.san.analytic import load_numerics
 
+        for name in FORK_PRELOAD:
+            importlib.import_module(name)
         load_numerics()
         pool = ProcessPoolExecutor(max_workers=min(jobs, max(1, len(groups))))
     try:

@@ -13,8 +13,8 @@ speedup is the lock-step gain over one-row batches.  The two simulative
 legs share replication seeds, so their means are bit-identical; a
 divergence here is an executor-fidelity bug, not statistical noise.
 
-The suite covers the three layers of the paper's model stack
-(:mod:`repro.sanmodels.exponential`):
+The suite (:mod:`repro.sanmodels.compare_suite`) covers the three layers
+of the paper's model stack (:mod:`repro.sanmodels.exponential`):
 
 * ``fd-pair``       -- the two-state failure-detector module (§3.4), an
   ergodic chain whose stationary suspect probability is known in closed
@@ -34,25 +34,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.san.analytic import AnalyticSolver, load_numerics
-from repro.san.marking import Marking
-from repro.san.rewards import (
-    ActivityCounter,
-    FirstPassageTime,
-    IntervalOfTime,
-    RewardVariable,
-)
-from repro.san.solver import SimulativeSolver
-from repro.sanmodels.consensus_model import consensus_stop_predicate, latency_reward
-from repro.sanmodels.exponential import (
-    DELIVERED_PLACE,
-    exponential_consensus_model,
-    exponential_fd_pair_model,
-    exponential_unicast_burst_model,
-)
-from repro.sanmodels.fd_model import FDModelSettings, suspect_place
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
@@ -60,113 +43,6 @@ from repro.experiments.settings import ExperimentSettings
 #: Confidence level of the agreement check (the cross-validation contract:
 #: the exact value must fall inside the simulative 95% interval).
 COMPARISON_CONFIDENCE = 0.95
-
-#: Burst size of the ``unicast-burst`` model.
-BURST_MESSAGES = 4
-
-
-# ----------------------------------------------------------------------
-# The validation-model suite (module-level, so worker processes can
-# pickle every factory).
-# ----------------------------------------------------------------------
-def _fd_settings() -> FDModelSettings:
-    return FDModelSettings(
-        mistake_recurrence_time=10.0, mistake_duration=1.0, kind="exponential"
-    )
-
-
-def fd_pair_model():
-    """The exponential failure-detector pair model."""
-    return exponential_fd_pair_model(_fd_settings())
-
-
-def _suspect_rate(marking: Marking) -> float:
-    return float(marking[suspect_place(0, 1)])
-
-
-def fd_pair_rewards() -> Sequence[RewardVariable]:
-    """Fraction of the horizon spent in the *suspect* state."""
-    return [IntervalOfTime(_suspect_rate, normalize=True, name="suspect_fraction")]
-
-
-def burst_model():
-    """The exponential unicast burst model."""
-    return exponential_unicast_burst_model(messages=BURST_MESSAGES)
-
-
-def _all_delivered(marking: Marking) -> bool:
-    return marking[DELIVERED_PLACE] >= BURST_MESSAGES
-
-
-def burst_rewards() -> Sequence[RewardVariable]:
-    """Time to deliver the whole burst, plus the completion count."""
-    return [
-        FirstPassageTime(_all_delivered, name="all_delivered"),
-        ActivityCounter(name="completions"),
-    ]
-
-
-def consensus3_model():
-    """The exponential n = 3 consensus model."""
-    return exponential_consensus_model(3)
-
-
-def consensus_rewards() -> Sequence[RewardVariable]:
-    """First-decision latency, plus the completion count."""
-    return [latency_reward(), ActivityCounter(name="completions")]
-
-
-@dataclass(frozen=True)
-class CompareModelSpec:
-    """One validation model: factories plus solving configuration."""
-
-    key: str
-    description: str
-    model_factory: Callable
-    reward_factory: Callable[[], Sequence[RewardVariable]]
-    stop_predicate: Optional[Callable[[Marking], bool]]
-    max_time: float
-    reward_names: Tuple[str, ...]
-
-
-#: The validation suite, in report order.
-COMPARE_MODELS: Tuple[CompareModelSpec, ...] = (
-    CompareModelSpec(
-        key="fd-pair",
-        description="FD trust/suspect module (ergodic, horizon 200 ms)",
-        model_factory=fd_pair_model,
-        reward_factory=fd_pair_rewards,
-        stop_predicate=None,
-        max_time=200.0,
-        reward_names=("suspect_fraction",),
-    ),
-    CompareModelSpec(
-        key="unicast-burst",
-        description=f"{BURST_MESSAGES}-message unicast burst (absorbing)",
-        model_factory=burst_model,
-        reward_factory=burst_rewards,
-        stop_predicate=_all_delivered,
-        max_time=1_000.0,
-        reward_names=("all_delivered", "completions"),
-    ),
-    CompareModelSpec(
-        key="consensus-n3",
-        description="composed consensus model, n=3 (absorbing)",
-        model_factory=consensus3_model,
-        reward_factory=consensus_rewards,
-        stop_predicate=consensus_stop_predicate,
-        max_time=10_000.0,
-        reward_names=("latency", "completions"),
-    ),
-)
-
-
-def compare_model_spec(key: str) -> CompareModelSpec:
-    """Look a validation model up by key."""
-    for spec in COMPARE_MODELS:
-        if spec.key == key:
-            return spec
-    raise KeyError(f"unknown solver-compare model {key!r}")
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +135,10 @@ def _solver_compare_point(
     indices -- seeds the simulative replications; the analytic solution
     needs no randomness.
     """
+    from repro.san.analytic import AnalyticSolver, load_numerics
+    from repro.san.solver import SimulativeSolver
+    from repro.sanmodels.compare_suite import compare_model_spec
+
     spec = compare_model_spec(key)
     # scipy loads on first use; import it before the clock starts so the
     # first point's analytic time is the solve alone.
@@ -334,6 +214,8 @@ def _solver_compare_point(
 
 def solver_compare_plan(settings: ExperimentSettings) -> ReplicationPlan:
     """The sweep: one point per validation model."""
+    from repro.sanmodels.compare_suite import COMPARE_MODELS
+
     points = []
     for model_index, spec in enumerate(COMPARE_MODELS):
         points.append(
@@ -382,10 +264,7 @@ def format_solver_compare(result: SolverCompareResult) -> str:
         "model           reward            analytic   simulative (95% CI)      in CI"
         "   batched     in CI   states",
     ]
-    for spec in COMPARE_MODELS:
-        if spec.key not in result.points:
-            continue
-        point = result.points[spec.key]
+    for point in result.points.values():
         for index, comparison in enumerate(point.rewards):
             tail = f"   {point.n_states:>6}" if index == 0 else ""
             lines.append(
@@ -403,10 +282,7 @@ def format_solver_compare(result: SolverCompareResult) -> str:
         f"solvers {verdict} on all models "
         f"({sum(len(p.rewards) for p in result.points.values())} rewards checked)"
     )
-    for spec in COMPARE_MODELS:
-        if spec.key not in result.points:
-            continue
-        point = result.points[spec.key]
+    for point in result.points.values():
         lines.append(
             f"[{point.key}: analytic {point.analytic_seconds * 1e3:.1f} ms vs "
             f"simulative {point.simulative_seconds:.2f} s "
@@ -420,10 +296,7 @@ def format_solver_compare(result: SolverCompareResult) -> str:
 def solver_compare_record(result: SolverCompareResult) -> Dict[str, Any]:
     """The JSON artifact data of the solver comparison."""
     models = []
-    for spec in COMPARE_MODELS:
-        if spec.key not in result.points:
-            continue
-        point = result.points[spec.key]
+    for point in result.points.values():
         models.append(
             {
                 "key": point.key,
@@ -473,10 +346,7 @@ def solver_compare_rows(result: SolverCompareResult):
         "n_states",
     ]
     rows = []
-    for spec in COMPARE_MODELS:
-        if spec.key not in result.points:
-            continue
-        point = result.points[spec.key]
+    for point in result.points.values():
         for comparison in point.rewards:
             rows.append(
                 [

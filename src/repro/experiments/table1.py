@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.scenarios import Scenario
-from repro.core.simulation import SimulationConfig, SimulationRunner
 from repro.experiments.figure7 import measure_latencies
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
@@ -87,6 +86,8 @@ def _table1_simulated_point(
     point_seed: int,
 ) -> float:
     """One simulated Table 1 cell: the SAN mean latency of one (scenario, n)."""
+    from repro.core.simulation import SimulationConfig, SimulationRunner
+
     simulation = SimulationRunner(
         SimulationConfig(
             n_processes=n_processes,

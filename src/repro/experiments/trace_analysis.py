@@ -34,18 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.measurement import MeasurementConfig, MeasurementRunner
 from repro.core.scenarios import Scenario
 from repro.experiments.registry import ExperimentContext, ExperimentSpec, register
 from repro.experiments.runner import ReplicationPlan, SweepPoint
 from repro.experiments.settings import ExperimentSettings
 from repro.faults.spec import CrashRecovery, FaultLoad, MessageLoss
-from repro.traces.cluster import cluster_features, feature_matrix, featurize_measurement
-from repro.traces.diff import diff_logs
-from repro.traces.events import CRASH, TIMER, EventLog
-from repro.traces.hb import HappensBeforeGraph, build_hb_graph
+
+if TYPE_CHECKING:
+    from repro.traces.events import EventLog
+    from repro.traces.hb import HappensBeforeGraph
 
 #: The sweep point under analysis.
 N_PROCESSES = 3
@@ -133,6 +132,9 @@ def _trace_point(
     settings: ExperimentSettings, replication: int, point_seed: int
 ) -> TracedReplication:
     """One traced replication (module-level so the pool can pickle it)."""
+    from repro.core.measurement import MeasurementConfig, MeasurementRunner
+    from repro.traces.cluster import featurize_measurement
+
     executions = max(6, settings.class3_executions // 4)
     separation_ms = 10.0
     horizon_ms = 1.0 + executions * separation_ms
@@ -216,6 +218,8 @@ def _find_anchor(graph: HappensBeforeGraph) -> Optional[int]:
     all predate it) fall back to the first wrong suspicion, then to the
     final event.
     """
+    from repro.traces.events import CRASH, TIMER
+
     crash_index = graph.find_first(kind=CRASH)
     if crash_index is not None:
         crashed = graph.events[crash_index].process
@@ -234,6 +238,11 @@ def aggregate_trace_analysis(
     pairs: Iterable[Tuple[SweepPoint, Any]],
 ) -> TraceAnalysisResult:
     """Cluster the streamed replications and explain the worst one."""
+    from repro.traces.cluster import cluster_features, feature_matrix
+    from repro.traces.diff import diff_logs
+    from repro.traces.events import CRASH
+    from repro.traces.hb import build_hb_graph
+
     traced: List[TracedReplication] = sorted(
         (traced for _point, traced in pairs),
         key=lambda traced: traced.summary.replication,

@@ -21,12 +21,26 @@ of class ◇S (§2.1).  This package provides:
   uses (§3.4), also usable directly on the simulated cluster.
 """
 
-from repro.failure_detectors.abstract import QoSDrivenFailureDetector
-from repro.failure_detectors.base import FailureDetectorLayer, SuspicionListener
-from repro.failure_detectors.heartbeat import HeartbeatFailureDetector
-from repro.failure_detectors.history import FailureDetectorHistory, Transition
-from repro.failure_detectors.qos import PairQoS, QoSEstimate, estimate_qos
-from repro.failure_detectors.static import StaticFailureDetector
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.failure_detectors.abstract import QoSDrivenFailureDetector
+    from repro.failure_detectors.base import FailureDetectorLayer, SuspicionListener
+    from repro.failure_detectors.heartbeat import HeartbeatFailureDetector
+    from repro.failure_detectors.history import FailureDetectorHistory, Transition
+    from repro.failure_detectors.qos import PairQoS, QoSEstimate, estimate_qos
+    from repro.failure_detectors.static import StaticFailureDetector
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.failure_detectors.abstract": ("QoSDrivenFailureDetector",),
+    "repro.failure_detectors.base": ("FailureDetectorLayer", "SuspicionListener"),
+    "repro.failure_detectors.heartbeat": ("HeartbeatFailureDetector",),
+    "repro.failure_detectors.history": ("FailureDetectorHistory", "Transition"),
+    "repro.failure_detectors.qos": ("PairQoS", "QoSEstimate", "estimate_qos"),
+    "repro.failure_detectors.static": ("StaticFailureDetector",),
+})
 
 __all__ = [
     "FailureDetectorHistory",

@@ -58,6 +58,11 @@ class FailureDetectorLayer(ProtocolLayer):
         if listener in self._listeners:
             self._listeners.remove(listener)
 
+    def close(self) -> None:
+        """Also drop the suspicion listeners (see :meth:`ProtocolLayer.close`)."""
+        super().close()
+        self._listeners.clear()
+
     # ------------------------------------------------------------------
     # For subclasses
     # ------------------------------------------------------------------

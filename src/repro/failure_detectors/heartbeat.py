@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.des.simulator import Simulator
 from repro.cluster.message import BROADCAST, Message
-from repro.cluster.neko import ProtocolLayer
 from repro.failure_detectors.base import FailureDetectorLayer
 from repro.failure_detectors.history import FailureDetectorHistory
 

@@ -45,30 +45,62 @@ and gates consume/transform the marking, then the chosen case's output arcs
 and gates are applied.
 """
 
-from repro.san.activities import Activity, Case, InstantaneousActivity, TimedActivity
-from repro.san.analytic import AnalyticResult, AnalyticSolver, AnalyticSolverError
-from repro.san.batched import BatchedSANExecutor, SANExecutionError
-from repro.san.compiled import CompiledSANModel, RowMarking, compile_model
-from repro.san.composition import join, rename_model, replicate
-from repro.san.gates import InputGate, OutputGate
-from repro.san.marking import FrozenMarking, Marking
-from repro.san.model import SANModel, SANValidationError
-from repro.san.places import Place
-from repro.san.statespace import (
-    NonMarkovianModelError,
-    StateSpace,
-    StateSpaceError,
-    Transition,
-    generate_state_space,
-)
-from repro.san.rewards import (
-    ActivityCounter,
-    FirstPassageTime,
-    InstantOfTime,
-    IntervalOfTime,
-    RewardVariable,
-)
-from repro.san.solver import ReplicationResult, SimulativeSolver, SolverResult
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.san.activities import Activity, Case, InstantaneousActivity, TimedActivity
+    from repro.san.analytic import AnalyticResult, AnalyticSolver, AnalyticSolverError
+    from repro.san.batched import BatchedSANExecutor, SANExecutionError
+    from repro.san.compiled import CompiledSANModel, RowMarking, compile_model
+    from repro.san.composition import join, rename_model, replicate
+    from repro.san.gates import InputGate, OutputGate
+    from repro.san.marking import FrozenMarking, Marking
+    from repro.san.model import SANModel, SANValidationError
+    from repro.san.places import Place
+    from repro.san.statespace import (
+        NonMarkovianModelError,
+        StateSpace,
+        StateSpaceError,
+        Transition,
+        generate_state_space,
+    )
+    from repro.san.rewards import (
+        ActivityCounter,
+        FirstPassageTime,
+        InstantOfTime,
+        IntervalOfTime,
+        RewardVariable,
+    )
+    from repro.san.solver import ReplicationResult, SimulativeSolver, SolverResult
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.san.activities": ("Activity", "Case", "InstantaneousActivity", "TimedActivity"),
+    "repro.san.analytic": ("AnalyticResult", "AnalyticSolver", "AnalyticSolverError"),
+    "repro.san.batched": ("BatchedSANExecutor", "SANExecutionError"),
+    "repro.san.compiled": ("CompiledSANModel", "RowMarking", "compile_model"),
+    "repro.san.composition": ("join", "rename_model", "replicate"),
+    "repro.san.gates": ("InputGate", "OutputGate"),
+    "repro.san.marking": ("FrozenMarking", "Marking"),
+    "repro.san.model": ("SANModel", "SANValidationError"),
+    "repro.san.places": ("Place",),
+    "repro.san.statespace": (
+        "NonMarkovianModelError",
+        "StateSpace",
+        "StateSpaceError",
+        "Transition",
+        "generate_state_space",
+    ),
+    "repro.san.rewards": (
+        "ActivityCounter",
+        "FirstPassageTime",
+        "InstantOfTime",
+        "IntervalOfTime",
+        "RewardVariable",
+    ),
+    "repro.san.solver": ("ReplicationResult", "SimulativeSolver", "SolverResult"),
+})
 
 __all__ = [
     "Activity",

@@ -16,24 +16,50 @@ composed Stochastic Activity Network (§3):
   -- :mod:`repro.sanmodels.consensus_model`.
 """
 
-from repro.sanmodels.consensus_model import (
-    ConsensusSANExperiment,
-    build_consensus_model,
-    build_consensus_model_from_distributions,
-    consensus_stop_predicate,
-    latency_reward,
-)
-from repro.sanmodels.exponential import (
-    exponential_consensus_model,
-    exponential_fd_pair_model,
-    exponential_stage_distributions,
-    exponential_unicast_burst_model,
-    exponentialized,
-)
-from repro.sanmodels.fd_model import FDModelSettings, add_failure_detector_pair
-from repro.sanmodels.network_model import add_broadcast_path, add_unicast_path
-from repro.sanmodels.parameters import SANParameters
-from repro.sanmodels.process_model import add_process_state_machine
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sanmodels.consensus_model import (
+        ConsensusSANExperiment,
+        build_consensus_model,
+        build_consensus_model_from_distributions,
+        consensus_stop_predicate,
+        latency_reward,
+    )
+    from repro.sanmodels.exponential import (
+        exponential_consensus_model,
+        exponential_fd_pair_model,
+        exponential_stage_distributions,
+        exponential_unicast_burst_model,
+        exponentialized,
+    )
+    from repro.sanmodels.fd_model import FDModelSettings, add_failure_detector_pair
+    from repro.sanmodels.network_model import add_broadcast_path, add_unicast_path
+    from repro.sanmodels.parameters import SANParameters
+    from repro.sanmodels.process_model import add_process_state_machine
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sanmodels.consensus_model": (
+        "ConsensusSANExperiment",
+        "build_consensus_model",
+        "build_consensus_model_from_distributions",
+        "consensus_stop_predicate",
+        "latency_reward",
+    ),
+    "repro.sanmodels.exponential": (
+        "exponential_consensus_model",
+        "exponential_fd_pair_model",
+        "exponential_stage_distributions",
+        "exponential_unicast_burst_model",
+        "exponentialized",
+    ),
+    "repro.sanmodels.fd_model": ("FDModelSettings", "add_failure_detector_pair"),
+    "repro.sanmodels.network_model": ("add_broadcast_path", "add_unicast_path"),
+    "repro.sanmodels.parameters": ("SANParameters",),
+    "repro.sanmodels.process_model": ("add_process_state_machine",),
+})
 
 __all__ = [
     "ConsensusSANExperiment",

@@ -8,26 +8,54 @@ Provides the statistical machinery the paper's evaluation relies on:
   bi-modal uniform fit of the measured end-to-end delay (§5.1).
 """
 
-from repro.stats.cdf import EmpiricalCDF
-from repro.stats.descriptive import (
-    ConfidenceInterval,
-    SampleSummary,
-    confidence_interval,
-    summarize,
-)
-from repro.stats.distributions import (
-    BimodalUniform,
-    Constant,
-    Distribution,
-    Exponential,
-    LogNormal,
-    Mixture,
-    Normal,
-    Shifted,
-    Uniform,
-    Weibull,
-    distribution_from_spec,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.stats.cdf import EmpiricalCDF
+    from repro.stats.descriptive import (
+        ConfidenceInterval,
+        SampleSummary,
+        confidence_interval,
+        summarize,
+    )
+    from repro.stats.distributions import (
+        BimodalUniform,
+        Constant,
+        Distribution,
+        Exponential,
+        LogNormal,
+        Mixture,
+        Normal,
+        Shifted,
+        Uniform,
+        Weibull,
+        distribution_from_spec,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stats.cdf": ("EmpiricalCDF",),
+    "repro.stats.descriptive": (
+        "ConfidenceInterval",
+        "SampleSummary",
+        "confidence_interval",
+        "summarize",
+    ),
+    "repro.stats.distributions": (
+        "BimodalUniform",
+        "Constant",
+        "Distribution",
+        "Exponential",
+        "LogNormal",
+        "Mixture",
+        "Normal",
+        "Shifted",
+        "Uniform",
+        "Weibull",
+        "distribution_from_spec",
+    ),
+})
 
 __all__ = [
     "BimodalUniform",

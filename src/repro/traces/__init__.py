@@ -21,26 +21,54 @@ Collection is strictly opt-in: with no collector attached the hot paths
 are unchanged and rewards/latencies stay bit-identical.
 """
 
-from repro.traces.events import (
-    CRASH,
-    DROP,
-    RECEIVE,
-    RECOVER,
-    SEND,
-    TIMER,
-    EventLog,
-    TraceCollector,
-    TraceEvent,
-)
-from repro.traces.hb import HappensBeforeGraph, build_hb_graph
-from repro.traces.cluster import (
-    ClusterInfo,
-    ClusterResult,
-    cluster_features,
-    feature_matrix,
-    featurize_measurement,
-)
-from repro.traces.diff import TraceDiff, diff_logs
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.traces.events import (
+        CRASH,
+        DROP,
+        RECEIVE,
+        RECOVER,
+        SEND,
+        TIMER,
+        EventLog,
+        TraceCollector,
+        TraceEvent,
+    )
+    from repro.traces.hb import HappensBeforeGraph, build_hb_graph
+    from repro.traces.cluster import (
+        ClusterInfo,
+        ClusterResult,
+        cluster_features,
+        feature_matrix,
+        featurize_measurement,
+    )
+    from repro.traces.diff import TraceDiff, diff_logs
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.traces.events": (
+        "CRASH",
+        "DROP",
+        "RECEIVE",
+        "RECOVER",
+        "SEND",
+        "TIMER",
+        "EventLog",
+        "TraceCollector",
+        "TraceEvent",
+    ),
+    "repro.traces.hb": ("HappensBeforeGraph", "build_hb_graph"),
+    "repro.traces.cluster": (
+        "ClusterInfo",
+        "ClusterResult",
+        "cluster_features",
+        "feature_matrix",
+        "featurize_measurement",
+    ),
+    "repro.traces.diff": ("TraceDiff", "diff_logs"),
+})
 
 __all__ = [
     "CRASH",

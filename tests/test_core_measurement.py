@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.measurement import (
     measure_end_to_end_delays,
 )
 from repro.core.scenarios import Scenario
+from repro.faults.spec import CrashRecovery, FaultLoad, MessageLoss
 from repro.stats.descriptive import summarize
 
 
@@ -103,6 +106,55 @@ def test_sequential_mode_never_overlaps_executions():
     # Each execution starts only after the previous one decided.
     for previous, entry in zip(result.recorder.instances, result.recorder.instances[1:], strict=False):
         assert entry.start_nominal >= previous.first_decision_global
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        _config(executions=10),
+        _config(scenario=Scenario.coordinator_crash(), executions=10),
+        _config(
+            scenario=Scenario.wrong_suspicions(timeout_ms=5.0),
+            executions=5,
+            sequential=True,
+            max_instance_time_ms=100.0,
+        ),
+        _config(
+            executions=10,
+            fault_load=FaultLoad.of(
+                MessageLoss(rate=0.05),
+                CrashRecovery(process_id=2, crash_at_ms=20.0, recover_at_ms=60.0),
+            ),
+        ),
+    ],
+    ids=["class1", "class2", "class3-sequential", "faults"],
+)
+def test_a_finished_run_is_freed_without_the_garbage_collector(config):
+    # A finished run closes its cluster, so the simulation is released by
+    # reference counting when the runner goes, not at some later full
+    # collection; the results stay readable on the closed cluster.
+    gc.collect()
+    gc.disable()
+    try:
+        runner = MeasurementRunner(config)
+        result = runner.run()
+        assert runner.cluster.sim.events_processed > 0
+        assert len(runner.cluster.trace) > 0
+        simulation = [
+            weakref.ref(obj)
+            for obj in (
+                runner.cluster.sim,
+                runner.cluster.transport,
+                *runner.cluster.processes,
+                *runner._consensus_layers,
+                *runner._fd_layers,
+            )
+        ]
+        del runner
+        assert [ref() for ref in simulation] == [None] * len(simulation)
+    finally:
+        gc.enable()
+    assert len(result.latencies_ms) + result.undecided == len(result.recorder.instances)
 
 
 def test_end_to_end_delay_microbenchmark_reports_both_kinds_of_delays(cluster_config):

@@ -202,6 +202,22 @@ def test_reset_invalidates_stale_event_handles(sim):
     assert sim.pending_events == 0
 
 
+def test_close_discards_pending_events_and_keeps_clock_and_counters(sim):
+    sim.schedule(1.0, lambda: None)
+    later = sim.schedule(5.0, lambda: None)
+    sim.add_trace_hook(lambda event: None)
+    sim.run(until=2.0)
+    sim.close()
+    assert (sim.now, sim.events_processed, sim.pending_events) == (2.0, 1, 0)
+    assert later.cancelled
+    assert not later.cancel()  # already discarded; must not corrupt counters
+    assert sim.pending_events == 0
+    with pytest.raises(SimulationError):
+        sim.run()
+    with pytest.raises(SimulationError):
+        sim.step()
+
+
 # ----------------------------------------------------------------------
 # pending_events live counter
 # ----------------------------------------------------------------------

@@ -430,7 +430,7 @@ ANALYTIC_GOLDENS = {
 
 
 def test_analytic_values_of_the_compare_models_are_bit_identical():
-    from repro.experiments.solver_compare import COMPARE_MODELS
+    from repro.sanmodels.compare_suite import COMPARE_MODELS
 
     for spec in COMPARE_MODELS:
         result = AnalyticSolver(
@@ -448,7 +448,7 @@ def test_analytic_values_of_the_compare_models_are_bit_identical():
 
 
 def test_steady_state_is_bit_identical():
-    from repro.experiments.solver_compare import fd_pair_model
+    from repro.sanmodels.compare_suite import fd_pair_model
 
     solver = AnalyticSolver(model_factory=fd_pair_model, reward_factory=lambda: [])
     assert [float(p).hex() for p in solver.steady_state()] == [

@@ -253,7 +253,7 @@ def test_experiment_batch_size_never_changes_results():
 # leg of the solvercompare sweep; this is the cheap direct version.)
 # ----------------------------------------------------------------------
 def test_batched_means_bracket_the_analytic_value_on_fd_pair():
-    from repro.experiments.solver_compare import compare_model_spec
+    from repro.sanmodels.compare_suite import compare_model_spec
 
     spec = compare_model_spec("fd-pair")
     exact = AnalyticSolver(

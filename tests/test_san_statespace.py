@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.experiments.solver_compare import compare_model_spec
+from repro.sanmodels.compare_suite import compare_model_spec
 
 from repro.san import (
     Case,

@@ -6,11 +6,11 @@ import pytest
 
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.solver_compare import (
-    COMPARE_MODELS,
     format_solver_compare,
     run_solver_compare,
     solver_compare_plan,
 )
+from repro.sanmodels.compare_suite import COMPARE_MODELS
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ inside the simulative solver's 95% confidence interval, and the analytic
 solution must be at least 10x faster than a 1000-replication simulation.
 
 The validation suite spans the three layers of the paper's model stack
-(:mod:`repro.experiments.solver_compare`):
+(:mod:`repro.sanmodels.compare_suite`):
 
 * the failure-detector module (built from ``sanmodels.fd_model``),
 * the three-stage network path (built from ``sanmodels.network_model``),
@@ -22,13 +22,13 @@ import time
 
 import pytest
 
-from repro.experiments.solver_compare import (
+from repro.san import AnalyticSolver, SimulativeSolver
+from repro.sanmodels import exponential_unicast_burst_model
+from repro.sanmodels.compare_suite import (
     COMPARE_MODELS,
     CompareModelSpec,
     compare_model_spec,
 )
-from repro.san import AnalyticSolver, SimulativeSolver
-from repro.sanmodels import exponential_unicast_burst_model
 from repro.sanmodels.exponential import DELIVERED_PLACE
 
 CROSS_VALIDATION_REPLICATIONS = 1_000
